@@ -2,11 +2,13 @@
    job layer the maintenance scheduler drives. Expensive work — merging
    sorted runs to disk — happens outside any lock, so a flush and
    several compactions on disjoint level ranges proceed in parallel
-   across worker domains. The exclusive sections the paper requires
-   survive unchanged: component swaps take the shared-exclusive lock in
-   exclusive mode, and installs + manifest saves are additionally
-   serialized by [t.install] so the manifest always describes a settled
-   version and lands before the WAL it obsoletes is deleted. *)
+   across worker domains. Every job in flight holds a claim in one table
+   ([claims], under [cm]), and every version change goes through one
+   exclusive section, {!install}: component swaps take the
+   shared-exclusive lock in exclusive mode, and installs + manifest
+   saves are additionally serialized by [t.install] so the manifest
+   always describes a settled version and lands before the WAL or input
+   tables it obsoletes are deleted. *)
 
 module Make (M : Memtable_intf.S) = struct
   open Clsm_primitives
@@ -59,6 +61,115 @@ module Make (M : Memtable_intf.S) = struct
             m "%s hit corrupt table %06d (%s): quarantine queued" what number
               detail)
 
+  (* ---------- the claim table ---------- *)
+
+  let conflicts a b =
+    match (a, b) with
+    | Levels (s1, t1), Levels (s2, t2) -> s1 <= t2 && s2 <= t1
+    | a, b -> a = b
+
+  (* [claim] is free when no held claim conflicts with it and — for
+     non-blocking claimers ([~yield]) — no blocked caller waits for a
+     conflicting one. *)
+  let free_locked t claim ~yield =
+    let c = t.claims in
+    (not (List.exists (fun (h, _) -> conflicts h claim) c.held))
+    && not (yield && List.exists (conflicts claim) c.waiting)
+  [@@requires_lock cm]
+
+  let try_claim_locked ?task t claim ~yield =
+    free_locked t claim ~yield
+    && begin
+         t.claims.held <- (claim, task) :: t.claims.held;
+         true
+       end
+  [@@requires_lock cm]
+
+  let release t claim =
+    let c = t.claims in
+    Mutex.protect c.cm (fun () ->
+        c.held <- List.filter (fun (h, _) -> h <> claim) c.held)
+
+  (* The one wait loop: block until [claim] is free. While waiting, the
+     claim is listed in [waiting], so conflicting non-blocking claims are
+     refused and a steady stream of them cannot starve this one. *)
+  let claim_blocking t claim =
+    let c = t.claims in
+    let rec wait () =
+      let got =
+        Mutex.protect c.cm (fun () ->
+            let got = try_claim_locked t claim ~yield:false in
+            c.waiting <- List.filter (( <> ) claim) c.waiting;
+            if not got then c.waiting <- claim :: c.waiting;
+            got)
+      in
+      if not got then begin
+        Unix.sleepf 0.0005;
+        wait ()
+      end
+    in
+    wait ()
+  [@@excludes_locks]
+
+  let with_claim t claim f =
+    claim_blocking t claim;
+    Fun.protect ~finally:(fun () -> release t claim) f
+
+  (* Every level, L0 through the bottom: what readmission claims, and
+     what waiting for "no compaction in flight" amounts to. *)
+  let all_levels t = Levels (0, t.opts.Options.lsm.Lsm_config.num_levels - 1)
+
+  (* ---------- install ---------- *)
+
+  (* The afterMerge exclusive section — the one place a version is
+     swapped. Under [t.install]: [edit] derives the next version from the
+     current one under the exclusive lock ([None]: save the manifest
+     only), and with [~flush] the immutable memtable P'm is cleared in
+     the same swap. The manifest is then saved, and only after it landed
+     does [after_save] run (marking merge inputs obsolete) and the old
+     version retire: anything the manifest stopped referencing may be
+     deleted, never earlier. *)
+  let install ?(flush = false) ?(after_save = ignore) t ~what edit =
+    Mutex.protect t.install (fun () ->
+        let old_pd, old_imm =
+          Shared_lock.with_exclusive t.lock (fun () ->
+              (* Pd first, then P'm: a lock-free reader going Pm, P'm,
+                 Pd may see the flushed data twice but never miss it. *)
+              let old_pd =
+                Option.map
+                  (fun next ->
+                    Rcu_box.swap t.pd
+                      (Refcounted.create ~release:Version.release next))
+                  (edit (current_version t))
+              in
+              ( old_pd,
+                if flush then
+                  Some (Rcu_box.swap t.pimm (Refcounted.create No_imm))
+                else None ))
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Option.iter Refcounted.retire old_pd;
+            Option.iter Refcounted.retire old_imm)
+          (fun () ->
+            with_retry t ~what (fun () -> save_manifest t);
+            after_save ()))
+  [@@excludes_locks]
+
+  (* Replace a merge's inputs by its [outputs]. [edit] runs inside the
+     exclusive section, before the manifest is written. *)
+  let install_merge ?(edit = ignore) t ~what task outputs =
+    install t ~what
+      ~after_save:(fun () ->
+        List.iter
+          (fun f -> Table_file.mark_obsolete (Refcounted.value f))
+          (task.Compaction.inputs_lo @ task.Compaction.inputs_hi))
+      (fun cur ->
+        edit ();
+        Some (Compaction.apply cur task ~outputs));
+    List.iter Refcounted.retire outputs
+  [@@excludes_locks]
+
   (* ---------- merge hooks ---------- *)
 
   (* beforeMerge: freeze Cm as C'm and open a fresh Cm (Algorithm 1 lines
@@ -102,7 +213,7 @@ module Make (M : Memtable_intf.S) = struct
 
   (* Merge C'm into the disk component, then afterMerge: install the new
      version and clear P'm (Algorithm 1 lines 13-17). Caller holds the
-     flush claim; the install section takes [t.install]. *)
+     flush claim. *)
   let flush_imm t =
     match current_imm t with
     | No_imm -> false
@@ -119,32 +230,16 @@ module Make (M : Memtable_intf.S) = struct
                 ~alloc_number:(alloc_file_number t) ~snapshots
                 ~drop_tombstones:false (M.iter mc.mem))
         in
-        Mutex.lock t.install;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.install)
-          (fun () ->
-            Shared_lock.lock_exclusive t.lock;
-            let cur = current_version t in
-            let next =
-              Version.create
-                ~l0:(outputs @ cur.Version.l0)
-                ~levels:cur.Version.levels
-            in
-            let old_pd =
-              Rcu_box.swap t.pd
-                (Refcounted.create ~release:Version.release next)
-            in
-            let old_imm = Rcu_box.swap t.pimm (Refcounted.create No_imm) in
-            Shared_lock.unlock_exclusive t.lock;
-            Refcounted.retire old_pd;
-            Refcounted.retire old_imm;
-            List.iter Refcounted.retire outputs;
-            Stats.incr_flushes t.stats;
-            Stats.add_bytes_flushed t.stats bytes;
-            (* Durability order: the manifest that stops referencing the old
-               WAL must land before the WAL disappears. *)
-            with_retry t ~what:"manifest save (flush)" (fun () ->
-                save_manifest t));
+        install t ~flush:true ~what:"manifest save (flush)" (fun cur ->
+            Some
+              (Version.create
+                 ~l0:(outputs @ cur.Version.l0)
+                 ~levels:cur.Version.levels));
+        List.iter Refcounted.retire outputs;
+        Stats.incr_flushes t.stats;
+        Stats.add_bytes_flushed t.stats bytes;
+        (* Durability order: the manifest that stops referencing the old
+           WAL has landed, so the WAL may disappear. *)
         (match mc.wal with
         | Some w ->
             let env = t.opts.Options.env in
@@ -160,9 +255,16 @@ module Make (M : Memtable_intf.S) = struct
             m "flushed %d bytes into %d L0 file(s)" bytes (List.length outputs));
         true
 
+  (* Push everything buffered to disk: a pending C'm, then the current
+     memtable. Caller holds the flush claim. *)
+  let flush_all t =
+    ignore (flush_imm t : bool);
+    ignore (rotate t : bool);
+    ignore (flush_imm t : bool)
+
   (* Run one claimed compaction: merge outside any lock, then install.
      Caller owns the claim on the task's level range. *)
-  let run_claimed_compaction t { State.task; pinned } =
+  let run_compaction t task =
     let snapshots = Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()) in
     let started = Unix.gettimeofday () in
     (* The expensive merge, range-partitioned across domains when the
@@ -187,150 +289,60 @@ module Make (M : Memtable_intf.S) = struct
         0
         (task.Compaction.inputs_lo @ task.Compaction.inputs_hi)
     in
-    Mutex.lock t.install;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.install)
-      (fun () ->
-        Shared_lock.lock_exclusive t.lock;
-        let cur = current_version t in
-        let next = Compaction.apply cur task ~outputs in
-        let old_pd =
-          Rcu_box.swap t.pd (Refcounted.create ~release:Version.release next)
-        in
-        Shared_lock.unlock_exclusive t.lock;
-        (if task.Compaction.src_level >= 1 then
-           match Version.files_range task.Compaction.inputs_lo with
-           | Some (_, largest) ->
-               t.compact_pointers.(task.Compaction.src_level - 1) <- largest
-           | None -> ());
-        List.iter Refcounted.retire outputs;
-        Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
-        Stats.record_compaction_run t.stats ~fanout
-          ~duration_ns:merge_duration_ns;
-        Stats.add_bytes_compacted t.stats bytes;
-        with_retry t ~what:"manifest save (compaction)" (fun () ->
-            save_manifest t);
-        (* Only after the manifest has stopped referencing the inputs may
-           they become deletable: marking them obsolete (and dropping the
-           old version's references) before a successful save could delete
-           files a crash-recovered manifest still points at. *)
-        List.iter
-          (fun f -> Table_file.mark_obsolete (Refcounted.value f))
-          (task.Compaction.inputs_lo @ task.Compaction.inputs_hi);
-        Refcounted.retire old_pd);
-    ignore pinned;
+    install_merge t ~what:"manifest save (compaction)" task outputs;
+    (if task.Compaction.src_level >= 1 then
+       match Version.files_range task.Compaction.inputs_lo with
+       | Some (_, largest) ->
+           t.compact_pointers.(task.Compaction.src_level - 1) <- largest
+       | None -> ());
+    Stats.incr_compactions t.stats ~src_level:task.Compaction.src_level ();
+    Stats.record_compaction_run t.stats ~fanout ~duration_ns:merge_duration_ns;
+    Stats.add_bytes_compacted t.stats bytes;
     Log.debug (fun m ->
         m "compacted level %d (%d bytes) into %d file(s), %d subcompaction(s)"
           task.Compaction.src_level bytes (List.length outputs) fanout)
-
-  (* ---------- claims ---------- *)
 
   let flush_needed t =
     (match current_imm t with Imm _ -> true | No_imm -> false)
     || M.approximate_bytes (current_pm t).mem > t.opts.Options.memtable_bytes
 
-  let try_claim_flush t =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () ->
-        if c.flush_claimed then false
-        else begin
-          c.flush_claimed <- true;
-          true
-        end)
-
-  let release_flush t =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () -> c.flush_claimed <- false)
-
-  (* Pick and claim a compaction whose level range is disjoint from every
-     in-flight one. The version the task was picked from is pinned so its
-     input files cannot be released before the task runs.
+  (* Pick and claim a compaction whose level range is free. The version
+     the task was picked from is pinned so its input files cannot be
+     released before the task runs.
 
      Tombstone dropping is pinned while the quarantine ledger is
      non-empty: a quarantined table is invisible to the version, so
      "nothing deeper than the target" may be a fiction — dropping a
      tombstone whose only covered older values live in the quarantined
-     table would resurrect the deleted key on readmission. The ledger is
-     populated BEFORE the quarantine swap (see
-     [apply_pending_quarantines]), so any pick that sees an empty ledger
-     ran against a version still containing every quarantined table's
-     data, and its [deeper_levels_empty] verdict is honest. *)
+     table would resurrect the deleted key on readmission. The version
+     is acquired BEFORE the ledger is read, and a quarantine enters the
+     ledger before (in the same exclusive section as) its swap, so a
+     version lacking a quarantined table is always seen with a non-empty
+     ledger and its [deeper_levels_empty] verdict is never trusted. *)
   let claim_compaction_locked t =
-    let c = t.claims in
-    if c.barrier then None
-    else begin
-      let busy l = List.exists (fun (s, tg) -> l = s || l = tg) c.busy_levels in
-      let skip ~src ~target = busy src || busy target in
-      let pin_tombstones =
-        let h = t.heal in
-        Mutex.protect h.hm (fun () ->
-            h.pending_quarantine <> [] || h.quarantined <> [])
-      in
-      let cell = Rcu_box.acquire t.pd in
-      match
-        Compaction.pick ~cfg:t.opts.Options.lsm
-          ~level_pointers:t.compact_pointers ~skip ~pin_tombstones
-          (Refcounted.value cell)
-      with
-      | Some task ->
-          let range =
-            (task.Compaction.src_level, task.Compaction.target_level)
-          in
-          c.busy_levels <- range :: c.busy_levels;
-          c.pending <- (range, { State.task; pinned = cell }) :: c.pending;
-          Some
-            (Job.Compact
-               {
-                 src_level = task.Compaction.src_level;
-                 target_level = task.Compaction.target_level;
-               })
-      | None ->
-          Refcounted.decr cell;
-          None
-    end
+    let cell = Rcu_box.acquire t.pd in
+    let pin_tombstones =
+      let h = t.heal in
+      Mutex.protect h.hm (fun () ->
+          h.pending_quarantine <> [] || h.quarantined <> [])
+    in
+    let skip ~src ~target = not (free_locked t (Levels (src, target)) ~yield:true) in
+    match
+      Compaction.pick ~cfg:t.opts.Options.lsm
+        ~level_pointers:t.compact_pointers ~skip ~pin_tombstones
+        (Refcounted.value cell)
+    with
+    | Some ({ Compaction.src_level; target_level; _ } as task) ->
+        t.claims.held <-
+          (Levels (src_level, target_level), Some { task; pinned = cell })
+          :: t.claims.held;
+        Some (Job.Compact { src_level; target_level })
+    | None ->
+        Refcounted.decr cell;
+        None
   [@@requires_lock cm]
 
-  let release_compaction t range =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () ->
-        c.busy_levels <- List.filter (fun r -> r <> range) c.busy_levels)
-
-  let take_pending t range =
-    let c = t.claims in
-    Mutex.protect c.cm (fun () ->
-        match List.assoc_opt range c.pending with
-        | Some cc ->
-            c.pending <- List.remove_assoc range c.pending;
-            Some cc
-        | None -> None)
-
   (* ---------- self-healing: quarantine, scrub, repair ---------- *)
-
-  let try_claim_repair t =
-    let h = t.heal in
-    Mutex.protect h.hm (fun () ->
-        if h.repair_claimed then false
-        else begin
-          h.repair_claimed <- true;
-          true
-        end)
-
-  let release_repair t =
-    let h = t.heal in
-    Mutex.protect h.hm (fun () -> h.repair_claimed <- false)
-
-  let try_claim_scrub t =
-    let h = t.heal in
-    Mutex.protect h.hm (fun () ->
-        if h.scrub_claimed then false
-        else begin
-          h.scrub_claimed <- true;
-          true
-        end)
-
-  let release_scrub t =
-    let h = t.heal in
-    Mutex.protect h.hm (fun () -> h.scrub_claimed <- false)
 
   (* Containment: swap every table with a pending corruption verdict out
      of the read view and record it in the manifest, so neither this
@@ -339,52 +351,34 @@ module Make (M : Memtable_intf.S) = struct
      store's health becomes [`Partial] (reported by the store layer from
      the quarantine ledger), not [`Degraded] — writes continue.
 
-     Runs regardless of [auto_repair] (containment is not optional).
-     Takes [t.install] then the exclusive lock, the same order as every
-     other install. *)
+     Runs regardless of [auto_repair] (containment is not optional). *)
   let apply_pending_quarantines t =
     let h = t.heal in
-    let pending =
-      Mutex.protect h.hm (fun () ->
-          let p = h.pending_quarantine in
-          h.pending_quarantine <- [];
-          List.rev p)
-    in
-    if pending <> [] then begin
-      Mutex.lock t.install;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.install)
-        (fun () ->
-          List.iter
-            (fun (number, detail) ->
-              (* Ledger first, swap second: tombstone dropping is pinned
-                 while the ledger is non-empty, and a window where the
-                 table is out of the read view but not yet in the ledger
-                 would let a concurrent compaction pick see "nothing
-                 deeper" where this table's data was. *)
-              Mutex.protect h.hm (fun () ->
-                  h.quarantined <- number :: h.quarantined);
-              Shared_lock.lock_exclusive t.lock;
-              match Version.remove_file (current_version t) number with
-              | Some next ->
-                  let old_pd =
-                    Rcu_box.swap t.pd
-                      (Refcounted.create ~release:Version.release next)
-                  in
-                  Shared_lock.unlock_exclusive t.lock;
-                  Refcounted.retire old_pd;
-                  Stats.incr_quarantined_tables t.stats;
-                  Log.err (fun m ->
-                      m "quarantined table %06d: %s" number detail)
-              | None ->
-                  (* already compacted away or quarantined *)
-                  Shared_lock.unlock_exclusive t.lock;
-                  Mutex.protect h.hm (fun () ->
-                      h.quarantined <-
-                        List.filter (fun n -> n <> number) h.quarantined))
-            pending;
-          with_retry t ~what:"manifest save (quarantine)" (fun () ->
-              save_manifest t))
+    if Mutex.protect h.hm (fun () -> h.pending_quarantine <> []) then begin
+      let swapped = ref [] in
+      install t ~what:"manifest save (quarantine)" (fun cur ->
+          (* Taken inside the install section, so a concurrent caller
+             that finds the queue empty returns only after these swaps. *)
+          swapped :=
+            Mutex.protect h.hm (fun () ->
+                (* a table already compacted away needs no quarantine *)
+                let present =
+                  List.filter
+                    (fun (n, _) -> Version.find_file cur n <> None)
+                    (List.rev h.pending_quarantine)
+                in
+                h.pending_quarantine <- [];
+                (* Ledger first, swap second (see
+                   [claim_compaction_locked]). *)
+                h.quarantined <- List.map fst present @ h.quarantined;
+                List.iter (fun _ -> Stats.incr_quarantined_tables t.stats) present;
+                present);
+          if !swapped = [] then None
+          else Some (Version.remove_files cur (List.map fst !swapped)));
+      List.iter
+        (fun (number, detail) ->
+          Log.err (fun m -> m "quarantined table %06d: %s" number detail))
+        !swapped
     end
   [@@excludes_locks]
 
@@ -480,105 +474,80 @@ module Make (M : Memtable_intf.S) = struct
                 Unix.gettimeofday () +. t.opts.Options.scrub_interval);
         (List.rev !problems, finished))
 
-  (* A full scrub pass, run synchronously under the scrub claim the
-     caller already holds. Restarts from the beginning regardless of any
-     background cursor. *)
-  let scrub_full_pass t =
-    Mutex.protect t.heal.hm (fun () -> t.heal.scrub_cursor <- None);
-    let problems, finished = scrub_slice t ~budget:max_int in
-    assert finished;
+  (* Synchronous full scrub pass (the CLI's [scrub], repair's final vet
+     and the tests call this): verify every sstable block plus the WAL
+     tail from the beginning, regardless of any background cursor, queue
+     quarantines for anything rotten and apply them before returning.
+     Returns human-readable problem descriptions, [] when clean. *)
+  let scrub_now t =
+    let problems =
+      with_claim t Scrub (fun () ->
+          Mutex.protect t.heal.hm (fun () -> t.heal.scrub_cursor <- None);
+          let problems, finished = scrub_slice t ~budget:max_int in
+          assert finished;
+          problems)
+    in
+    apply_pending_quarantines t;
     problems
+  [@@excludes_locks]
 
-  (* Block new compaction claims and wait out the in-flight ones, so the
-     files a readmission collapse merges can be neither consumed nor
-     overlapped at the bottom level by a concurrent compaction install.
-     Flushes keep running: they only prepend strictly newer L0 files,
-     which the collapse reads nothing from — its closure is computed
-     against a version snapshot taken after the barrier is up. *)
-  let with_compaction_barrier t f =
-    let c = t.claims in
-    Fun.protect
-      ~finally:(fun () -> Mutex.protect c.cm (fun () -> c.barrier <- false))
-      (fun () ->
-        Mutex.protect c.cm (fun () -> c.barrier <- true);
-        let rec wait () =
-          if not (Mutex.protect c.cm (fun () -> c.busy_levels = [])) then begin
-            Unix.sleepf 0.0005;
-            wait ()
-          end
-        in
-        wait ();
-        f ())
+  (* Readmission is an ordinary compaction with a forced input set.
+     Where a re-verified table may rejoin the tree is constrained by
+     [Version.get], which answers from the shallowest component holding
+     the key: a table of old values spliced at L0 shadows newer versions
+     at L1+, while one spliced deep is shadowed by older versions above
+     it. We do not know the table's age relative to anything still in
+     the tree — least of all its former L0 siblings, which interleave
+     with it in time. The one placement needing no such trust is a
+     collapse: merge it with every file whose user-key range overlaps it
+     at ANY level, L0 included (closed transitively, so the whole range's
+     history is one merge), and install the output at the bottom level.
+     Afterwards no copy of an affected key survives anywhere shallower to
+     shadow the merge's winner; files flushed after the closure's version
+     snapshot are strictly newer than everything on disk at that point
+     and win by timestamp. Tombstones ride through
+     ([drop_tombstones = false]) and keep covering the readmitted puts.
+     A readmission moves no round-robin pointer and is not counted as a
+     compaction.
 
-  (* Readmission by range collapse. Where a re-verified table may rejoin
-     the tree is constrained by [Version.get], which answers from the
-     shallowest component holding the key: a table of old values spliced
-     at L0 shadows newer versions at L1+ (stale reads, and — if a
-     tombstone covering its puts was since dropped as "nothing deeper" —
-     resurrected deletes), while one spliced deep is shadowed by older
-     versions above it. We do not know the table's age relative to
-     anything still in the tree — least of all its former L0 siblings,
-     which interleave with it in time. The one placement needing no such
-     trust is a collapse: merge it with every file whose user-key range
-     overlaps it at ANY level, L0 included (closed transitively, so the
-     whole range's history is one merge), and install the output at the
-     bottom level. Afterwards no snapshot-time copy of an affected key
-     survives anywhere shallower to shadow the merge's winner; files
-     flushed after the closure's version snapshot are strictly newer
-     than everything on disk at that point and win by timestamp.
-     Tombstones ride through ([drop_tombstones:false]) and keep covering
-     the readmitted puts. With nothing overlapping, the table is spliced
-     directly into the bottom level — same placement, no IO.
-
-     Caller holds the repair claim and the compaction barrier, and no
-     locks. Raises [Env.Error] on transient IO trouble and
-     {!Table_file.Corruption} naming whichever merge input (possibly the
-     readmitted table itself) turned out rotten. *)
-  let readmit_collapsed t ~number qcell =
-    let uk_lo tf = Internal_key.user_key_of tf.Table_file.smallest in
-    let uk_hi tf = Internal_key.user_key_of tf.Table_file.largest in
-    (* Gather the transitive user-key-overlap closure across the whole
-       on-disk tree — L0 and every level — and pin each file past the
-       version cell it was found in. The barrier guarantees the closure
-       stays live (and stays the closure) until the install below;
-       flushes racing us only add files newer than this snapshot, which
-       need no collapsing. *)
-    let overlaps =
-      let vcell = Rcu_box.acquire t.pd in
-      Fun.protect
-        ~finally:(fun () -> Refcounted.decr vcell)
-        (fun () ->
-          let v = Refcounted.value vcell in
-          let deep =
+     Caller holds the repair claim and the claim on every level, so the
+     closure can be neither consumed nor overlapped at the bottom by a
+     concurrent compaction. Raises [Env.Error] on transient IO trouble
+     and {!Table_file.Corruption} naming whichever merge input (possibly
+     the readmitted table itself) turned out rotten. *)
+  let readmit t ~number qcell =
+    let user_range f =
+      let tf = Refcounted.value f in
+      Internal_key.
+        (user_key_of tf.Table_file.smallest, user_key_of tf.Table_file.largest)
+    in
+    (* Pin each closure file past the version cell it was found in;
+       flushes racing us only add files newer than this snapshot. *)
+    let closure =
+      Rcu_box.with_ref t.pd (fun v ->
+          let files =
             v.Version.l0 @ List.concat (Array.to_list v.Version.levels)
+            |> List.filter (fun f -> (Refcounted.value f).Table_file.smallest <> "")
           in
-          let q = Refcounted.value qcell in
-          let rec close lo hi inputs =
-            let extra =
+          (* widen the user-key range until no file overlaps it partly *)
+          let rec close (lo, hi) =
+            let inputs =
               List.filter
                 (fun f ->
-                  let tf = Refcounted.value f in
-                  tf.Table_file.smallest <> ""
-                  && (not (List.memq f inputs))
-                  && String.compare (uk_hi tf) lo >= 0
-                  && String.compare (uk_lo tf) hi <= 0)
-                deep
+                  let l, h = user_range f in
+                  h >= lo && l <= hi)
+                files
             in
-            if extra = [] then inputs
-            else
-              let lo, hi =
-                List.fold_left
-                  (fun (lo, hi) f ->
-                    let tf = Refcounted.value f in
-                    ( (if String.compare (uk_lo tf) lo < 0 then uk_lo tf
-                       else lo),
-                      if String.compare (uk_hi tf) hi > 0 then uk_hi tf
-                      else hi ))
-                  (lo, hi) extra
-              in
-              close lo hi (inputs @ extra)
+            let widened =
+              List.fold_left
+                (fun (lo, hi) f ->
+                  let l, h = user_range f in
+                  (min lo l, max hi h))
+                (lo, hi) inputs
+            in
+            if widened = (lo, hi) then inputs else close widened
           in
-          let inputs = close (uk_lo q) (uk_hi q) [] in
+          let inputs = close (user_range qcell) in
           List.iter
             (fun f ->
               (* live in the pinned version, so the count is positive *)
@@ -588,80 +557,39 @@ module Make (M : Memtable_intf.S) = struct
           inputs)
     in
     Fun.protect
-      ~finally:(fun () -> List.iter Refcounted.decr overlaps)
+      ~finally:(fun () -> List.iter Refcounted.decr closure)
       (fun () ->
+        let task =
+          {
+            Compaction.src_level = 0;
+            inputs_lo = qcell :: closure;
+            inputs_hi = [];
+            target_level = t.opts.Options.lsm.Lsm_config.num_levels - 1;
+            drop_tombstones = false;
+          }
+        in
         let outputs =
-          if overlaps = [] then [ qcell ]
-          else begin
-            let snapshots =
-              Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ())
-            in
-            let merged =
-              Merge_iter.merge ~cmp:Internal_key.compare_encoded
-                (List.map Version.iter_of_file (qcell :: overlaps))
-            in
-            Compaction.write_sorted_run ~cfg:t.opts.Options.lsm
-              ~dir:t.opts.Options.dir ~cache:t.cache ~env:t.opts.Options.env
-              ~alloc_number:(alloc_file_number t) ~snapshots
-              ~drop_tombstones:false merged
-          end
+          Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
+            ~cache:t.cache ~env:t.opts.Options.env
+            ~alloc_number:(alloc_file_number t)
+            ~snapshots:(Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()))
+            task
         in
-        let consumed =
-          List.map (fun f -> (Refcounted.value f).Table_file.number) overlaps
-        in
-        Mutex.lock t.install;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock t.install)
-          (fun () ->
-            Shared_lock.lock_exclusive t.lock;
-            let cur = current_version t in
-            let keep f =
-              not (List.mem (Refcounted.value f).Table_file.number consumed)
-            in
-            (* Consumed L0 files leave; files flushed since the closure's
-               snapshot stay put, shallower than (and newer than) the
-               collapsed output. *)
-            let l0 = List.filter keep cur.Version.l0 in
-            let levels = Array.map (List.filter keep) cur.Version.levels in
-            let bottom = Array.length levels - 1 in
-            levels.(bottom) <-
-              List.sort
-                (fun a b ->
-                  Internal_key.compare_encoded
-                    (Refcounted.value a).Table_file.smallest
-                    (Refcounted.value b).Table_file.smallest)
-                (levels.(bottom) @ outputs);
-            let next = Version.create ~l0 ~levels in
-            let old_pd =
-              Rcu_box.swap t.pd
-                (Refcounted.create ~release:Version.release next)
-            in
-            Shared_lock.unlock_exclusive t.lock;
-            (* The manifest written below must not list this number as
-               quarantined AND present in the file set. *)
+        (* The manifest written by this install must not list [number]
+           as quarantined: its data is back in the file set. *)
+        install_merge t ~what:"manifest save (readmission)" task outputs
+          ~edit:(fun () ->
             Mutex.protect t.heal.hm (fun () ->
                 t.heal.quarantined <-
-                  List.filter (fun n -> n <> number) t.heal.quarantined);
-            with_retry t ~what:"manifest save (readmission)" (fun () ->
-                save_manifest t);
-            (* Only after the manifest stopped referencing them may the
-               merge inputs — and the now-rewritten quarantined original
-               — become deletable. *)
-            List.iter
-              (fun f -> Table_file.mark_obsolete (Refcounted.value f))
-              overlaps;
-            if overlaps <> [] then
-              Table_file.mark_obsolete (Refcounted.value qcell);
-            Refcounted.retire old_pd);
-        if overlaps <> [] then List.iter Refcounted.retire outputs)
+                  List.filter (fun n -> n <> number) t.heal.quarantined)))
   [@@excludes_locks]
 
   (* Repair out of [`Partial]. Every quarantined table gets a second
      chance: re-opened fresh and fully re-verified from disk. Rot that
      was transient (a bit flipped on some past read, not damage on the
      platter) re-verifies clean and the table is readmitted online via
-     {!readmit_collapsed}. Persistent damage gets the file renamed aside
-     as evidence (never deleted); its key ranges keep answering from
+     {!readmit}. Persistent damage gets the file renamed aside as
+     evidence (never deleted); its key ranges keep answering from
      surviving overlapping data. Either way the QUARANTINE record is
      resolved. A final full scrub pass vets the whole component before
      [`Ok] is honest — fresh verdicts it finds are queued and block the
@@ -680,126 +608,76 @@ module Make (M : Memtable_intf.S) = struct
         Mutex.protect h.hm (fun () ->
             h.quarantined <- List.filter (fun n -> n <> number) h.quarantined)
       in
-      with_compaction_barrier t (fun () ->
-          List.iter
-            (fun number ->
-              let path = Table_file.table_path ~dir number in
-              let discard () =
-                (try Env.(env.rename) ~src:path ~dst:(path ^ ".quarantined")
-                 with Env.Error _ -> ());
-                Log.warn (fun m ->
-                    m
-                      "repair: table %06d is damaged on disk, renamed aside \
-                       as %s.quarantined"
-                      number (Filename.basename path));
-                drop number
-              in
-              if not (Env.(env.file_exists) path) then
-                (* compacted away in a race before the quarantine swap;
-                   the record is moot *)
-                drop number
-              else
-                let reopened =
-                  (* the footer/index/filter load can hit the same rot
-                     the data blocks did *)
-                  try
-                    `Opened
-                      (Table_file.open_number ~cache:t.cache ~env ~dir number)
-                  with
-                  | Env.Crashed as e -> raise e
-                  | Env.Error _ -> `Io
-                  | _ -> `Rotten
-                in
-                match reopened with
-                | `Io -> blocked := true
-                | `Rotten -> discard ()
-                | `Opened tf -> (
+      let resolve number =
+        let path = Table_file.table_path ~dir number in
+        let discard () =
+          (try Env.(env.rename) ~src:path ~dst:(path ^ ".quarantined")
+           with Env.Error _ -> ());
+          Log.warn (fun m ->
+              m
+                "repair: table %06d is damaged on disk, renamed aside as \
+                 %s.quarantined"
+                number (Filename.basename path));
+          drop number
+        in
+        let still_rotten detail =
+          Log.warn (fun m -> m "repair: table %06d still rotten: %s" number detail);
+          discard ()
+        in
+        if not (Env.(env.file_exists) path) then
+          (* compacted away in a race before the quarantine swap; the
+             record is moot *)
+          drop number
+        else
+          (* the footer/index/filter load can hit the same rot the data
+             blocks did *)
+          match Table_file.open_number ~cache:t.cache ~env ~dir number with
+          | exception Env.Crashed -> raise Env.Crashed
+          | exception Env.Error _ -> blocked := true
+          | exception _ -> discard ()
+          | tf -> (
+              let qcell = Refcounted.create ~release:Table_file.release tf in
+              match
+                Fun.protect
+                  ~finally:(fun () -> Refcounted.decr qcell)
+                  (fun () ->
                     match Clsm_sstable.Table.verify tf.Table_file.table with
-                    | Ok _ when tf.Table_file.smallest = "" ->
-                        (* An entry-less table holds nothing to restore. *)
-                        (try Clsm_sstable.Table.close tf.Table_file.table
-                         with _ -> ());
-                        discard ()
-                    | Ok _ -> (
-                        let qcell =
-                          Refcounted.create ~release:Table_file.release tf
-                        in
-                        match readmit_collapsed t ~number qcell with
-                        | () ->
-                            Refcounted.decr qcell;
-                            Log.info (fun m ->
-                                m
-                                  "repair: table %06d re-verified clean, \
-                                   readmitted via bottom-level collapse"
-                                  number)
-                        | exception Env.Crashed ->
-                            Refcounted.decr qcell;
-                            raise Env.Crashed
-                        | exception Env.Error _ ->
-                            Refcounted.decr qcell;
-                            blocked := true
-                        | exception
-                            Table_file.Corruption { number = n; detail; _ }
-                          ->
-                            Refcounted.decr qcell;
-                            if n = number then begin
-                              Log.warn (fun m ->
-                                  m "repair: table %06d still rotten: %s"
-                                    number detail);
-                              discard ()
-                            end
-                            else begin
-                              (* a surviving merge input is rotten too:
-                                 queue it and retry the whole round *)
-                              ignore
-                                (enqueue_quarantine t ~number:n ~detail
-                                  : bool);
-                              blocked := true
-                            end)
-                    | Error detail ->
-                        (try Clsm_sstable.Table.close tf.Table_file.table
-                         with _ -> ());
-                        Log.warn (fun m ->
-                            m "repair: table %06d still rotten: %s" number
-                              detail);
-                        discard ()
-                    | exception Env.Crashed -> raise Env.Crashed
-                    | exception Env.Error _ ->
-                        (try Clsm_sstable.Table.close tf.Table_file.table
-                         with _ -> ());
-                        blocked := true))
-            nums);
+                    | Error detail -> `Rotten detail
+                    (* an entry-less table holds nothing to restore *)
+                    | Ok _ when tf.Table_file.smallest = "" -> `Empty
+                    | Ok _ ->
+                        readmit t ~number qcell;
+                        `Readmitted)
+              with
+              | `Readmitted ->
+                  Log.info (fun m ->
+                      m "repair: table %06d re-verified clean, readmitted at \
+                         the bottom level" number)
+              | `Empty -> discard ()
+              | `Rotten detail -> still_rotten detail
+              | exception Env.Error _ -> blocked := true
+              | exception Table_file.Corruption { number = n; detail; _ } ->
+                  if n = number then still_rotten detail
+                  else begin
+                    (* a surviving merge input is rotten too: queue it
+                       and retry the whole round *)
+                    ignore (enqueue_quarantine t ~number:n ~detail : bool);
+                    blocked := true
+                  end)
+      in
+      with_claim t (all_levels t) (fun () -> List.iter resolve nums);
       (* Persist the purely-ledger resolutions (discards, moot records);
          readmissions already saved their manifest at install time. *)
-      Mutex.lock t.install;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.install)
-        (fun () ->
-          with_retry t ~what:"manifest save (repair)" (fun () ->
-              save_manifest t));
+      install t ~what:"manifest save (repair)" (fun _ -> None);
       if !blocked then `Blocked
-      else begin
+      else
         (* Vet the whole component before claiming health. *)
-        let rec claim_scrub_blocking () =
-          if not (try_claim_scrub t) then begin
-            Unix.sleepf 0.0005;
-            claim_scrub_blocking ()
-          end
-        in
-        claim_scrub_blocking ();
-        match
-          Fun.protect
-            ~finally:(fun () -> release_scrub t)
-            (fun () -> scrub_full_pass t)
-        with
+        match scrub_now t with
         | exception Env.Error _ -> `Blocked
         | [] ->
             wake_bg t;
             `Repaired
-        | _problems ->
-            apply_pending_quarantines t;
-            `Blocked
-      end
+        | _problems -> `Blocked
     end
   [@@excludes_locks]
 
@@ -811,21 +689,16 @@ module Make (M : Memtable_intf.S) = struct
      the degraded flag is lifted online, without reopening the store. *)
   let recover_from_degraded t =
     if Atomic.get t.degraded = None then `Nothing
-    else if not (try_claim_flush t) then `Blocked (* flush in flight *)
+    else if
+      not (Mutex.protect t.claims.cm (fun () -> try_claim_locked t Flush ~yield:true))
+    then `Blocked (* flush in flight *)
     else
       Fun.protect
-        ~finally:(fun () -> release_flush t)
+        ~finally:(fun () -> release t Flush)
         (fun () ->
           match
-            ignore (flush_imm t : bool);
-            ignore (rotate t : bool);
-            ignore (flush_imm t : bool);
-            Mutex.lock t.install;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock t.install)
-              (fun () ->
-                with_retry t ~what:"manifest save (repair probe)" (fun () ->
-                    save_manifest t))
+            flush_all t;
+            install t ~what:"manifest save (repair probe)" (fun _ -> None)
           with
           | () ->
               (match Atomic.get t.degraded with
@@ -851,12 +724,11 @@ module Make (M : Memtable_intf.S) = struct
           h.repair_next_due <- Unix.gettimeofday () +. 1.0);
       let finalized = finalize_quarantined t in
       let recovered = recover_from_degraded t in
-      (match finalized with
-      | `Repaired -> Stats.incr_auto_repairs t.stats
-      | `Nothing | `Blocked -> ());
-      match recovered with
-      | `Repaired -> Stats.incr_auto_repairs t.stats
-      | `Nothing | `Blocked -> ()
+      List.iter
+        (function
+          | `Repaired -> Stats.incr_auto_repairs t.stats
+          | `Nothing | `Blocked -> ())
+        [ finalized; recovered ]
     end
   [@@excludes_locks]
 
@@ -874,117 +746,87 @@ module Make (M : Memtable_intf.S) = struct
     else begin
       let h = t.heal in
       let now = Unix.gettimeofday () in
-      let flush =
-        if is_degraded t then None
-        else begin
-          let c = t.claims in
-          Mutex.protect c.cm (fun () ->
-              if (not c.flush_claimed) && flush_needed t then begin
-                c.flush_claimed <- true;
-                Some Job.Flush
-              end
-              else None)
-        end
-      in
-      match flush with
-      | Some _ as j -> j
-      | None -> (
-          let repair =
-            Mutex.protect h.hm (fun () ->
-                if h.repair_claimed then None
-                else begin
-                  let contain = h.pending_quarantine <> [] in
-                  let heal =
-                    t.opts.Options.auto_repair
-                    && now >= h.repair_next_due
-                    && (h.quarantined <> [] || is_degraded t)
-                  in
-                  if contain || heal then begin
-                    h.repair_claimed <- true;
-                    Some Job.Repair
-                  end
-                  else None
-                end)
+      let degraded = is_degraded t in
+      let ( <|> ) a b = match a with Some _ -> a | None -> b () in
+      Mutex.protect t.claims.cm (fun () ->
+          let claim job c =
+            if try_claim_locked t c ~yield:true then Some job else None
           in
-          match repair with
-          | Some _ as j -> j
-          | None ->
-              if is_degraded t then None
-              else begin
-                let c = t.claims in
-                let job =
-                  Mutex.protect c.cm (fun () -> claim_compaction_locked t)
-                in
-                match job with
-                | Some _ as j -> j
-                | None ->
-                    Mutex.protect h.hm (fun () ->
-                        if
-                          (not h.scrub_claimed)
-                          && t.opts.Options.scrub_interval > 0.0
-                          && now >= h.scrub_next_due
-                        then begin
-                          h.scrub_claimed <- true;
-                          Some Job.Scrub
-                        end
-                        else None)
-              end)
+          (if (not degraded) && flush_needed t then claim Job.Flush Flush
+           else None)
+          <|> (fun () ->
+          let wanted =
+            Mutex.protect h.hm (fun () ->
+                h.pending_quarantine <> []
+                || t.opts.Options.auto_repair
+                   && now >= h.repair_next_due
+                   && (h.quarantined <> [] || degraded))
+          in
+          if wanted then claim Job.Repair Repair else None)
+          <|> fun () ->
+          if degraded then None
+          else
+            claim_compaction_locked t <|> fun () ->
+            if
+              t.opts.Options.scrub_interval > 0.0
+              && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
+            then claim Job.Scrub Scrub
+            else None)
     end
 
   let run_flush t =
-    Fun.protect
-      ~finally:(fun () -> release_flush t)
-      (fun () ->
-        (* Clear a pending immutable component first, then rotate an
-           over-budget memtable and flush the result. *)
-        ignore (flush_imm t);
-        if
-          M.approximate_bytes (current_pm t).mem
-          > t.opts.Options.memtable_bytes
-        then if rotate t then ignore (flush_imm t))
+    (* Clear a pending immutable component first, then rotate an
+       over-budget memtable and flush the result. *)
+    ignore (flush_imm t);
+    if M.approximate_bytes (current_pm t).mem > t.opts.Options.memtable_bytes
+    then if rotate t then ignore (flush_imm t)
 
+  let run_scrub t =
+    try
+      ignore
+        (scrub_slice t ~budget:t.opts.Options.scrub_block_budget
+          : string list * bool)
+    with Env.Error _ ->
+      (* A transient read failure is not corruption and must not degrade
+         the store off a hygiene pass: abandon the slice (the cursor is
+         unchanged) and push the pass out a full interval so a
+         persistently sick disk cannot hot-loop the worker. *)
+      Mutex.protect t.heal.hm (fun () ->
+          t.heal.scrub_next_due <-
+            Unix.gettimeofday () +. Float.max 1.0 t.opts.Options.scrub_interval)
+
+  (* Run a claimed job and release its claim. A compaction's claim is
+     released only after its pinned version is dropped, so whoever waits
+     for quiescence also waits for the inputs to become deletable. *)
   let rec run t (job : Job.t) =
+    let released claim f = Fun.protect ~finally:(fun () -> release t claim) f in
     match job with
     (* [In_shard] is the router's tag; a single store never claims one.
        Unwrap defensively rather than crash a worker. *)
     | Job.In_shard { job; _ } -> run t job
-    | Job.Flush -> guard_io t ~what:"memtable flush" (fun () -> run_flush t)
+    | Job.Flush ->
+        released Flush (fun () ->
+            guard_io t ~what:"memtable flush" (fun () -> run_flush t))
     | Job.Repair ->
-        Fun.protect
-          ~finally:(fun () -> release_repair t)
-          (fun () ->
+        released Repair (fun () ->
             guard_io t ~what:"repair" (fun () -> run_repair t ~force:false))
     | Job.Scrub ->
-        Fun.protect
-          ~finally:(fun () -> release_scrub t)
-          (fun () ->
-            guard_io t ~what:"scrub" (fun () ->
-                try
-                  ignore
-                    (scrub_slice t ~budget:t.opts.Options.scrub_block_budget
-                      : string list * bool)
-                with Env.Error _ ->
-                  (* A transient read failure is not corruption and must
-                     not degrade the store off a hygiene pass: abandon
-                     the slice (the cursor is unchanged) and push the
-                     pass out a full interval so a persistently sick
-                     disk cannot hot-loop the worker. *)
-                  Mutex.protect t.heal.hm (fun () ->
-                      t.heal.scrub_next_due <-
-                        Unix.gettimeofday ()
-                        +. Float.max 1.0 t.opts.Options.scrub_interval)))
-    | Job.Compact { src_level; target_level } -> (
-        let range = (src_level, target_level) in
-        match take_pending t range with
-        | None -> release_compaction t range
-        | Some cc ->
-            Fun.protect
-              ~finally:(fun () ->
-                release_compaction t range;
-                Refcounted.decr cc.State.pinned)
-              (fun () ->
-                guard_io t ~what:"compaction" (fun () ->
-                    run_claimed_compaction t cc)))
+        released Scrub (fun () ->
+            guard_io t ~what:"scrub" (fun () -> run_scrub t))
+    | Job.Compact { src_level; target_level } ->
+        let claim = Levels (src_level, target_level) in
+        released claim (fun () ->
+            match
+              Mutex.protect t.claims.cm (fun () ->
+                  Option.join (List.assoc_opt claim t.claims.held))
+            with
+            | None -> ()
+            | Some { task; pinned } ->
+                Fun.protect
+                  ~finally:(fun () -> Refcounted.decr pinned)
+                  (fun () ->
+                    guard_io t ~what:"compaction" (fun () ->
+                        run_compaction t task)))
 
   let make_scheduler t =
     Scheduler.create ~num_workers:t.opts.Options.maintenance_workers
@@ -997,25 +839,14 @@ module Make (M : Memtable_intf.S) = struct
 
   (* Synchronously rotate, flush and compact to quiescence, cooperating
      with (not fighting) the background workers: claims are shared, and
-     quiescence means no claimable work and no claim in flight. *)
+     quiescence means no claimable work and no flush or compaction in
+     flight. *)
   let compact_now t =
-    let rec claim_flush_blocking () =
-      if not (try_claim_flush t) then begin
-        Unix.sleepf 0.0005;
-        claim_flush_blocking ()
-      end
-    in
-    claim_flush_blocking ();
-    Fun.protect
-      ~finally:(fun () -> release_flush t)
-      (fun () ->
-        guard_io t ~what:"foreground flush" (fun () ->
-            ignore (flush_imm t);
-            ignore (rotate t);
-            ignore (flush_imm t)));
+    with_claim t Flush (fun () ->
+        guard_io t ~what:"foreground flush" (fun () -> flush_all t));
     let c = t.claims in
     let rec drain () =
-      let claimed =
+      match
         Mutex.protect c.cm (fun () ->
             (* A degraded store must not keep re-claiming the same doomed
                task: stop draining, the directory is as compacted as it
@@ -1024,57 +855,30 @@ module Make (M : Memtable_intf.S) = struct
             else
               match claim_compaction_locked t with
               | Some job -> `Run job
-              | None ->
-                  if c.busy_levels <> [] || c.flush_claimed then `Wait
-                  else `Idle)
-      in
-      match claimed with
+              | None
+                when List.exists
+                       (function (Flush | Levels _), _ -> true | _ -> false)
+                       c.held ->
+                  `Wait
+              | None -> `Idle)
+      with
       | `Run job ->
           run t job;
           drain ()
       | `Wait ->
-          Unix.sleepf 0.0005;
+          (* wait out the flush and compactions in flight, then look again *)
+          with_claim t Flush (fun () -> with_claim t (all_levels t) ignore);
           drain ()
       | `Idle -> ()
     in
     drain ()
   [@@excludes_locks]
 
-  (* Synchronous full scrub pass (the CLI's [scrub] and the tests call
-     this): verify every sstable block plus the WAL tail, queue
-     quarantines for anything rotten and apply them before returning.
-     Returns human-readable problem descriptions, [] when clean. *)
-  let scrub_now t =
-    let rec claim () =
-      if not (try_claim_scrub t) then begin
-        Unix.sleepf 0.0005;
-        claim ()
-      end
-    in
-    claim ();
-    let problems =
-      Fun.protect
-        ~finally:(fun () -> release_scrub t)
-        (fun () -> scrub_full_pass t)
-    in
-    apply_pending_quarantines t;
-    problems
-  [@@excludes_locks]
-
   (* Synchronous repair attempt (the Repair job, forced): containment,
      quarantine finalization and the degraded-recovery probe all run
      even with [auto_repair] off. *)
   let repair_now t =
-    let rec claim () =
-      if not (try_claim_repair t) then begin
-        Unix.sleepf 0.0005;
-        claim ()
-      end
-    in
-    claim ();
-    Fun.protect
-      ~finally:(fun () -> release_repair t)
-      (fun () ->
+    with_claim t Repair (fun () ->
         guard_io t ~what:"repair" (fun () -> run_repair t ~force:true))
   [@@excludes_locks]
 end

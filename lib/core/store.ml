@@ -548,14 +548,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
         degraded = Atomic.make None;
         heal = fresh_heal ~quarantined:r.Recover.quarantined;
         install = Mutex.create ();
-        claims =
-          {
-            cm = Mutex.create ();
-            flush_claimed = false;
-            busy_levels = [];
-            pending = [];
-            barrier = false;
-          };
+        claims = { cm = Mutex.create (); held = []; waiting = [] };
         compact_pointers = Array.make (num_levels - 1) "";
         backpressure =
           Backpressure.create

@@ -17,29 +17,28 @@ module Make (M : Memtable_intf.S) = struct
 
   type imm_slot = No_imm | Imm of memcomp
 
-  (* Claim ledger for the maintenance worker pool: which job slots are
-     taken right now. [flush_claimed] serializes the rotate/flush path
-     (the paper's beforeMerge/afterMerge pair must not race itself);
-     [busy_levels] holds the (src, target) ranges of in-flight
-     compactions so parallel workers only ever merge disjoint ranges.
-     A claimed compaction carries its picked task and a reference on the
-     version it was picked from, so input files cannot be retired
-     between claim and execution. *)
+  (* The claim table: every maintenance job in flight, under [cm]. A
+     claim conflicts with an equal one ([Flush] serializes the paper's
+     beforeMerge/afterMerge pair, [Repair] and [Scrub] run one at a
+     time) and two [Levels] claims conflict iff their level ranges
+     intersect, so parallel compactions only ever merge disjoint ranges.
+     A picked compaction carries its task and a reference on the version
+     it was picked from, so input files cannot be retired between claim
+     and execution. Readmission claims the whole range [(0, bottom)].
+     [waiting] lists the claims a blocked caller is waiting for; new
+     non-blocking claims that conflict with one are refused, so a steady
+     compaction stream cannot starve repair. *)
   type claimed_compaction = {
     task : Compaction.task;
     pinned : Version.t Refcounted.t;
   }
 
+  type claim = Flush | Repair | Scrub | Levels of int * int
+
   type claims = {
     cm : Mutex.t;
-    mutable flush_claimed : bool;
-    mutable busy_levels : (int * int) list;
-    mutable pending : ((int * int) * claimed_compaction) list;
-    mutable barrier : bool;
-        (* repair's readmission collapse is running (or waiting to):
-           no new compaction may be claimed until it clears, so the
-           collapse's input files cannot be consumed under it. Flushes
-           are unaffected — they only prepend strictly newer L0 files. *)
+    mutable held : (claim * claimed_compaction option) list;
+    mutable waiting : claim list;
   }
 
   (* Self-healing state. Read paths never mutate the version or the
@@ -55,8 +54,6 @@ module Make (M : Memtable_intf.S) = struct
     mutable quarantined : int list;
         (* dropped from the read view and recorded in the manifest;
            cleared by repair finalization *)
-    mutable repair_claimed : bool;
-    mutable scrub_claimed : bool;
     mutable scrub_cursor : (int * int) option;
         (* (table number, data-block index) to resume the current scrub
            pass from; [None] between passes *)
@@ -115,8 +112,6 @@ module Make (M : Memtable_intf.S) = struct
       hm = Mutex.create ();
       pending_quarantine = [];
       quarantined;
-      repair_claimed = false;
-      scrub_claimed = false;
       scrub_cursor = None;
       scrub_next_due = Unix.gettimeofday ();
       repair_next_due = 0.0;

@@ -177,13 +177,18 @@ let cleanup_failed st =
     st.files;
   st.files <- []
 
-let emit st ~key ~value =
-  let b = builder_of st in
-  Clsm_sstable.Table_builder.add b ~key ~value;
-  if
-    Clsm_sstable.Table_builder.estimated_file_size b
-    >= st.cfg.Lsm_config.target_file_size
-  then finish_current st
+let emit st ~key ~value = Clsm_sstable.Table_builder.add (builder_of st) ~key ~value
+
+(* Output tables are cut only between user keys: every version a group
+   keeps lands in one file, so a level never splits a key's history and
+   a round-robin pick can never move only its newer half down. *)
+let cut_if_full st =
+  match st.builder with
+  | Some (_, b)
+    when Clsm_sstable.Table_builder.estimated_file_size b
+         >= st.cfg.Lsm_config.target_file_size ->
+      finish_current st
+  | Some _ | None -> ()
 
 let write_sorted_run ~cfg ~dir ?cache ?(env = Clsm_env.Env.unix) ~alloc_number
     ~snapshots ~drop_tombstones iter =
@@ -227,6 +232,7 @@ let write_sorted_run ~cfg ~dir ?cache ?(env = Clsm_env.Env.unix) ~alloc_number
             if List.mem (Internal_key.ts_of ik) kept_ts then
               emit st ~key:ik ~value:v)
           versions;
+        cut_if_full st;
         pump ()
   in
   (try
@@ -376,29 +382,22 @@ let run_parallel ~cfg ~dir ?cache ?env ~alloc_number ~snapshots
 let same_file a b =
   (Refcounted.value a).Table_file.number = (Refcounted.value b).Table_file.number
 
+(* Inputs leave whichever level holds them, L0 included — a forced
+   input set (quarantine readmission) may span every level, and an
+   input absent from [current] (the readmitted table itself) is simply
+   not found. *)
 let apply (current : Version.t) task ~outputs =
-  let is_input f =
-    List.exists (same_file f) task.inputs_lo
-    || List.exists (same_file f) task.inputs_hi
+  let keep f =
+    not
+      (List.exists (same_file f) task.inputs_lo
+      || List.exists (same_file f) task.inputs_hi)
   in
-  let l0 =
-    if task.src_level = 0 then List.filter (fun f -> not (is_input f)) current.Version.l0
-    else current.Version.l0
-  in
-  let levels = Array.copy current.Version.levels in
-  if task.src_level >= 1 then
-    levels.(task.src_level - 1) <-
-      List.filter (fun f -> not (is_input f)) levels.(task.src_level - 1);
+  let levels = Array.map (List.filter keep) current.Version.levels in
   let target_idx = task.target_level - 1 in
-  let kept_target =
-    List.filter (fun f -> not (is_input f)) levels.(target_idx)
-  in
-  let sorted =
+  levels.(target_idx) <-
     List.sort
       (fun a b ->
         Internal_key.compare_encoded (Refcounted.value a).Table_file.smallest
           (Refcounted.value b).Table_file.smallest)
-      (kept_target @ outputs)
-  in
-  levels.(target_idx) <- sorted;
-  Version.create ~l0 ~levels
+      (levels.(target_idx) @ outputs);
+  Version.create ~l0:(List.filter keep current.Version.l0) ~levels

@@ -62,8 +62,10 @@ val write_sorted_run :
   Iter.t ->
   Version.file list
 (** Stream a sorted (by internal key) iterator through GC into one or more
-    table files cut at [target_file_size]. Duplicate internal keys (ties
-    across merge inputs) are deduplicated keeping the first. Returns the
+    table files cut at [target_file_size], only ever between user keys:
+    all kept versions of one key land in the same file. Duplicate
+    internal keys (ties across merge inputs) are deduplicated keeping the
+    first. Returns the
     new files (each with one owning reference), sorted, possibly empty.
     On IO failure the partial outputs (in-flight temp file and any
     finished tables) are deleted best-effort before the exception
@@ -115,7 +117,8 @@ val run_parallel :
     [alloc_number] must be safe to call from multiple domains. *)
 
 val apply : Version.t -> task -> outputs:Version.file list -> Version.t
-(** Build the successor version: inputs removed, outputs installed at
-    [target_level]. The base version may have gained L0 files since the
-    task was picked; they are preserved. The caller retires the old
+(** Build the successor version: inputs removed from whichever level
+    holds them (L0 included; an input absent from the version is
+    ignored), outputs installed at [target_level]. The base version may
+    have gained L0 files since the task was picked; they are preserved. The caller retires the old
     version and marks input files obsolete. *)

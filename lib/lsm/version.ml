@@ -157,14 +157,9 @@ let find_file t number =
         (fun acc l -> match acc with Some _ -> acc | None -> in_list l)
         None t.levels
 
-let remove_file t number =
-  match find_file t number with
-  | None -> None
-  | Some _ ->
-      let keep f = (Refcounted.value f).Table_file.number <> number in
-      Some
-        (create ~l0:(List.filter keep t.l0)
-           ~levels:(Array.map (List.filter keep) t.levels))
+let remove_files t numbers =
+  let keep f = not (List.mem (Refcounted.value f).Table_file.number numbers) in
+  create ~l0:(List.filter keep t.l0) ~levels:(Array.map (List.filter keep) t.levels)
 
 let overlapping files ~smallest ~largest =
   let cmp = Internal_key.compare_encoded in
@@ -198,34 +193,93 @@ let files_range files =
             Some (lo, hi))
     None files
 
+(* Multicopy recency ("newest copy wins", Patel et al.): a search stops
+   at the shallowest component holding the key, so every version of a
+   key in a shallower component must be newer than every version of it
+   deeper down. L0 is one component (a search consults all its files).
+   Reports the first offending key per pair of components, with a count. *)
+let check_recency components =
+  let problems = ref [] in
+  let problem fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
+  (* user key -> (oldest ts in the components above, its level) *)
+  let above = Hashtbl.create 1024 in
+  let violations = Hashtbl.create 8 in
+  List.iter
+    (fun (level, files) ->
+      let here = Hashtbl.create 1024 in
+      List.iter
+        (fun f ->
+          try
+            Iter.fold
+              (fun ik _ () ->
+                let uk = Internal_key.user_key_of ik
+                and ts = Internal_key.ts_of ik in
+                match Hashtbl.find_opt here uk with
+                | Some (lo, hi) -> Hashtbl.replace here uk (min lo ts, max hi ts)
+                | None -> Hashtbl.replace here uk (ts, ts))
+              (iter_of_file f) ()
+          with Table_file.Corruption { number; detail; _ } ->
+            problem "level %d file %06d: %s" level number detail)
+        files;
+      Hashtbl.iter
+        (fun uk (lo, hi) ->
+          match Hashtbl.find_opt above uk with
+          | Some (oldest, upper) ->
+              if hi >= oldest then begin
+                let pair = (upper, level) in
+                match Hashtbl.find_opt violations pair with
+                | Some (example, n) ->
+                    Hashtbl.replace violations pair (example, n + 1)
+                | None ->
+                    Hashtbl.replace violations pair
+                      ((uk, hi, oldest), 1)
+              end;
+              if lo < oldest then Hashtbl.replace above uk (lo, level)
+          | None -> Hashtbl.replace above uk (lo, level))
+        here)
+    components;
+  Hashtbl.iter
+    (fun (upper, level) ((uk, hi, oldest), n) ->
+      problem
+        "key %S (%d key(s) in all): ts %d at level %d is not older than ts \
+         %d at level %d"
+        uk n hi level oldest upper)
+    violations;
+  List.rev !problems
+
 let validate t =
   let problems = ref [] in
   let problem fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
   let check_file level f =
     let tf = Refcounted.value f in
     match Clsm_sstable.Table.verify tf.Table_file.table with
-    | Ok _ -> ()
+    | Ok _ -> true
     | Error msg ->
-        problem "level %d file %06d: %s" level tf.Table_file.number msg
+        problem "level %d file %06d: %s" level tf.Table_file.number msg;
+        false
   in
-  List.iter (check_file 0) t.l0;
-  Array.iteri
-    (fun i files ->
-      let level = i + 1 in
-      List.iter (check_file level) files;
-      (* sorted and disjoint *)
-      let rec pairs = function
-        | a :: (b :: _ as rest) ->
-            let ta = Refcounted.value a and tb = Refcounted.value b in
-            if
-              Internal_key.compare_encoded ta.Table_file.largest
-                tb.Table_file.smallest >= 0
-            then
-              problem "level %d files %06d and %06d overlap" level
-                ta.Table_file.number tb.Table_file.number;
-            pairs rest
-        | [ _ ] | [] -> ()
-      in
-      pairs files)
-    t.levels;
-  List.rev !problems
+  let l0 = List.filter (check_file 0) t.l0 in
+  let levels =
+    Array.to_list
+      (Array.mapi
+         (fun i files ->
+           let level = i + 1 in
+           let sound = List.filter (check_file level) files in
+           (* sorted and disjoint *)
+           let rec pairs = function
+             | a :: (b :: _ as rest) ->
+                 let ta = Refcounted.value a and tb = Refcounted.value b in
+                 if
+                   Internal_key.compare_encoded ta.Table_file.largest
+                     tb.Table_file.smallest >= 0
+                 then
+                   problem "level %d files %06d and %06d overlap" level
+                     ta.Table_file.number tb.Table_file.number;
+                 pairs rest
+             | [ _ ] | [] -> ()
+           in
+           pairs files;
+           (level, sound))
+         t.levels)
+  in
+  List.rev_append !problems (check_recency ((0, l0) :: levels))

@@ -72,9 +72,9 @@ val iters : t -> Iter.t list
 val find_file : t -> int -> file option
 (** The live file with the given table number, if any. *)
 
-val remove_file : t -> int -> t option
-(** A new version (references taken) without table [number] — the
-    quarantine swap. [None] when the number is not in this version. *)
+val remove_files : t -> int list -> t
+(** A new version (references taken) without the given table numbers —
+    the quarantine swap. Numbers not in this version are ignored. *)
 
 val overlapping : file list -> smallest:string -> largest:string -> file list
 (** Files of a sorted level whose internal-key range intersects
@@ -85,5 +85,9 @@ val files_range : file list -> (string * string) option
 
 val validate : t -> string list
 (** Structural and content checks of the whole disk component: every table
-    file verifies ({!Clsm_sstable.Table.verify}), and levels 1+ are sorted
-    and disjoint. Returns human-readable problems (empty = healthy). *)
+    file verifies ({!Clsm_sstable.Table.verify}), levels 1+ are sorted
+    and disjoint, and the multicopy recency invariant holds — for every
+    user key, each timestamp in a shallower component (L0 as one, then
+    L1…Ln) exceeds every timestamp of that key in a deeper one, so the
+    newest copy is the one a search finds first. Returns human-readable
+    problems (empty = healthy). *)

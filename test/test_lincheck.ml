@@ -140,6 +140,16 @@ module Db_target = Target.Of_store (Db)
 module Cow_target = Target.Of_store (Cow_store)
 module Sharded_target = Target.Of_store (Sharded_db)
 
+(* After a schedule's concurrent flushes and compactions the disk
+   component must still satisfy the level invariants and the multicopy
+   recency invariant ("newest copy wins") that [verify_integrity]
+   checks. *)
+let check_integrity ~target ~seed = function
+  | [] -> ()
+  | problems ->
+      Alcotest.failf "%s seed %d: integrity violations: %s" target seed
+        (String.concat "; " problems)
+
 let run_clsm ~linearizable seed () =
   let dir =
     Filename.concat base_dir
@@ -154,7 +164,10 @@ let run_clsm ~linearizable seed () =
       ~finally:(fun () ->
         Db.close db;
         rm_rf dir)
-      (fun () -> Stress.run (cfg seed) (Db_target.ops ~name:"clsm" db))
+      (fun () ->
+        let h = Stress.run (cfg seed) (Db_target.ops ~name:"clsm" db) in
+        check_integrity ~target:"clsm" ~seed (Db.verify_integrity db);
+        h)
   in
   assert_clean
     ~target:(if linearizable then "clsm-lin" else "clsm")
@@ -187,9 +200,13 @@ let run_clsm_group seed () =
         Db.close db;
         rm_rf dir)
       (fun () ->
-        Stress.run
-          { (cfg seed) with Stress.ops_per_domain = 120 }
-          (Db_target.ops ~name:"clsm-group" db))
+        let h =
+          Stress.run
+            { (cfg seed) with Stress.ops_per_domain = 120 }
+            (Db_target.ops ~name:"clsm-group" db)
+        in
+        check_integrity ~target:"store-group" ~seed (Db.verify_integrity db);
+        h)
   in
   assert_clean ~target:"store-group" ~seed ~scan_mode:`Serializable h
 
@@ -220,7 +237,12 @@ let run_sharded ~linearizable seed () =
       ~finally:(fun () ->
         Sharded_db.close db;
         rm_rf dir)
-      (fun () -> Stress.run (cfg seed) (Sharded_target.ops ~name:"sharded" db))
+      (fun () ->
+        let h =
+          Stress.run (cfg seed) (Sharded_target.ops ~name:"sharded" db)
+        in
+        check_integrity ~target:"sharded" ~seed (Sharded_db.verify_integrity db);
+        h)
   in
   assert_clean
     ~target:(if linearizable then "sharded-lin" else "sharded")
@@ -237,7 +259,10 @@ let run_cow seed () =
       ~finally:(fun () ->
         Cow_store.close db;
         rm_rf dir)
-      (fun () -> Stress.run (cfg seed) (Cow_target.ops ~name:"cow" db))
+      (fun () ->
+        let h = Stress.run (cfg seed) (Cow_target.ops ~name:"cow" db) in
+        check_integrity ~target:"cow" ~seed (Cow_store.verify_integrity db);
+        h)
   in
   assert_clean ~target:"cow" ~seed ~scan_mode:`Serializable h
 

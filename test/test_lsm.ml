@@ -472,6 +472,59 @@ let manifest_roundtrip () =
   Sys.remove path;
   Alcotest.(check bool) "absent manifest" true (Manifest.load ~dir:tmp_dir () = None)
 
+(* ---------- output cuts between user keys ---------- *)
+
+(* Forty snapshot-retained versions of "k" between a few "a" and "z"
+   keys, sized so a file cut lands inside k's history if the writer may
+   cut after any entry. A round-robin pick then moves the file past the
+   L1 pointer down a level; if that file held only k's newer versions,
+   the older ones left at L1 would shadow them. *)
+let straddle_is_never_split () =
+  let open Clsm_primitives in
+  let cfg = { Lsm_config.default with Lsm_config.block_size = 256 } in
+  let value ts = String.make 100 (Char.chr (Char.code 'a' + (ts mod 26))) in
+  let entries =
+    List.init 5 (fun i -> (Printf.sprintf "a%02d" i, 1))
+    @ List.init 40 (fun i -> ("k", 10 + i))
+    @ List.init 5 (fun i -> (Printf.sprintf "z%02d" i, 1))
+    |> List.map (fun (k, ts) ->
+           (Internal_key.make k ts, Entry.encode (Entry.Value (value ts))))
+  in
+  let snapshots = List.init 39 (fun i -> 10 + i) in
+  let next = ref 7000 in
+  let alloc_number () = incr next; !next in
+  let write cfg =
+    Compaction.write_sorted_run ~cfg ~dir:tmp_dir ~alloc_number ~snapshots
+      ~drop_tombstones:false
+      (Iter.of_sorted_list ~cmp:Internal_key.compare_encoded entries)
+  in
+  (* one uncut file measures the run; then cut at about 30 entries *)
+  let whole = write { cfg with Lsm_config.target_file_size = max_int } in
+  let size = (Refcounted.value (List.hd whole)).Table_file.size in
+  List.iter Refcounted.retire whole;
+  let l1 = write { cfg with Lsm_config.target_file_size = size * 30 / 50 } in
+  Alcotest.(check bool) "the run was cut" true (List.length l1 >= 2);
+  let levels = Array.make 2 [] in
+  levels.(0) <- l1;
+  let v = Version.create ~l0:[] ~levels in
+  List.iter Refcounted.retire l1;
+  let pointer = (Refcounted.value (List.hd l1)).Table_file.largest in
+  let pick_cfg = { cfg with Lsm_config.level1_max_bytes = 1 } in
+  match Compaction.pick ~cfg:pick_cfg ~level_pointers:[| pointer; "" |] v with
+  | None -> Alcotest.fail "L1 is over budget: expected a task"
+  | Some task ->
+      let outputs =
+        Compaction.run ~cfg ~dir:tmp_dir ~alloc_number ~snapshots task
+      in
+      let v' = Compaction.apply v task ~outputs in
+      List.iter Refcounted.retire outputs;
+      (match Version.get v' ~user_key:"k" ~snap_ts:Internal_key.max_ts with
+      | Some (ts, _) -> Alcotest.(check int) "newest version of k" 49 ts
+      | None -> Alcotest.fail "k vanished");
+      Alcotest.(check (list string)) "recency holds" [] (Version.validate v');
+      Version.release v';
+      Version.release v
+
 (* ---------- Lsm_config ---------- *)
 
 let level_budgets () =
@@ -529,4 +582,9 @@ let suites =
     ( "lsm.manifest",
       [ Alcotest.test_case "roundtrip + corruption" `Quick manifest_roundtrip ] );
     ("lsm.config", [ Alcotest.test_case "level budgets" `Quick level_budgets ]);
+    ( "lsm.output_cuts",
+      [
+        Alcotest.test_case "versions of a key never straddle files" `Quick
+          straddle_is_never_split;
+      ] );
   ]

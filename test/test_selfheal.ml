@@ -193,17 +193,109 @@ let check_all db =
       (Db.get db (Printf.sprintf "k%04d" i))
   done
 
-(* Transient rot: every table fails its scrub while the fault is armed,
-   gets quarantined, then re-verifies clean from disk once the fault is
-   gone — repair must readmit the tables and lose nothing. *)
-let transient_rot_round_trip () =
+(* Transient rot of one chosen table: flip bytes in its first data
+   block, let a scrub quarantine it, then put the bytes back — the
+   medium is clean again by the time repair re-verifies it. *)
+let rot_on_disk_until_scrubbed db dir number =
+  let path = Filename.concat dir (Printf.sprintf "%06d.sst" number) in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let write_at_64 b =
+    ignore (Unix.lseek fd 64 Unix.SEEK_SET : int);
+    ignore (Unix.write fd b 0 4 : int)
+  in
+  let saved = Bytes.create 4 in
+  ignore (Unix.lseek fd 64 Unix.SEEK_SET : int);
+  Alcotest.(check int) "read the original bytes" 4 (Unix.read fd saved 0 4);
+  write_at_64 (Bytes.of_string "\xde\xad\xbe\xef");
+  let problems = Db.scrub_now db in
+  write_at_64 saved;
+  Unix.close fd;
+  problems
+
+let sst_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun n -> Filename.check_suffix n ".sst")
+  |> List.map (fun n -> int_of_string (Filename.chop_suffix n ".sst"))
+
+(* What gets transiently rotten: every table at once (the injector's
+   lying reads), one table whose key range overlaps nothing else, or an
+   L1 table whose readmission closure takes in L0 and the rest of L1. *)
+type rot_input = Every_table | Isolated_table | Table_under_l0
+
+(* Transient rot: the chosen tables fail their scrub, get quarantined,
+   then re-verify clean from disk once the lie is gone — repair must
+   readmit them (a compaction into the bottom level) and lose nothing:
+   every key reads its newest value, tombstones included. *)
+let transient_rot_round_trip input () =
   let dir = fresh_dir () in
   let f = Faulty_env.create ~seed:5 () in
-  let opts = small_opts ~env:(Faulty_env.env f) dir in
+  let base = small_opts ~env:(Faulty_env.env f) dir in
+  let opts =
+    match input with
+    | Every_table -> base
+    (* only compact_now flushes, so the table layout is deterministic *)
+    | Isolated_table | Table_under_l0 ->
+        { base with Options.memtable_bytes = 1 lsl 20 }
+  in
   let db = Db.open_store opts in
-  fill db;
-  Faulty_env.set_fault_rates f ~corrupt_read_1_in:1 ();
-  let problems = Db.scrub_now db in
+  let expected = Hashtbl.create 1024 in
+  let put key value =
+    Db.put db ~key ~value;
+    Hashtbl.replace expected key (Some value)
+  in
+  let key i = Printf.sprintf "k%04d" i in
+  let problems =
+    match input with
+    | Every_table ->
+        for i = 0 to 599 do
+          put (key i) (Printf.sprintf "v%04d" i)
+        done;
+        Db.compact_now db;
+        Faulty_env.set_fault_rates f ~corrupt_read_1_in:1 ();
+        let problems = Db.scrub_now db in
+        Faulty_env.set_fault_rates f ~corrupt_read_1_in:0 ();
+        problems
+    | Isolated_table ->
+        for i = 0 to 49 do
+          put (Printf.sprintf "a%04d" i) "a"
+        done;
+        Db.compact_now db;
+        let q = List.hd (sst_files dir) in
+        for i = 0 to 49 do
+          put (Printf.sprintf "m%04d" i) "m"
+        done;
+        Db.compact_now db;
+        Alcotest.(check int) "two disjoint tables" 2 (List.length (sst_files dir));
+        rot_on_disk_until_scrubbed db dir q
+    | Table_under_l0 ->
+        (* two flushes of two tables each: the second pair triggers
+           the L0->L1 merge *)
+        for round = 1 to 2 do
+          for i = 0 to 599 do
+            put (key i) (Printf.sprintf "r%d-%04d" round i)
+          done;
+          Db.compact_now db
+        done;
+        for i = 0 to 599 do
+          if i mod 50 = 0 then begin
+            Db.delete db ~key:(key i);
+            Hashtbl.replace expected (key i) None
+          end
+          else if i mod 7 = 0 then put (key i) (Printf.sprintf "r3-%04d" i)
+        done;
+        Db.compact_now db;
+        (match Db.level_file_counts db with
+        | l0 :: l1 :: _ when l0 >= 1 && l1 >= 2 -> ()
+        | counts ->
+            Alcotest.failf "expected L0 tables over two or more in L1: %s"
+              (String.concat "," (List.map string_of_int counts)));
+        let q =
+          match Manifest.load ~dir () with
+          | Some m -> List.assoc 1 m.Manifest.files
+          | None -> Alcotest.fail "manifest missing"
+        in
+        rot_on_disk_until_scrubbed db dir q
+  in
   Alcotest.(check bool) "scrub saw the rot" true (problems <> []);
   (match Db.health db with
   | `Partial _ -> ()
@@ -214,15 +306,16 @@ let transient_rot_round_trip () =
     (s.Stats.corruptions_detected > 0);
   Alcotest.(check bool) "tables quarantined" true
     (s.Stats.quarantined_tables > 0);
-  (* The rot was the injector's fiction: on a clean medium every table
-     re-verifies and comes back. *)
-  Faulty_env.set_fault_rates f ~corrupt_read_1_in:0 ();
   (match Db.repair_now db with
   | `Ok -> ()
   | `Partial r | `Degraded r -> Alcotest.failf "repair did not heal: %s" r);
   Alcotest.(check bool) "repair counted" true
     ((Db.stats db).Stats.auto_repairs > 0);
-  check_all db;
+  Alcotest.(check bool) "readmitted into the bottom level" true
+    (List.nth (List.rev (Db.level_file_counts db)) 0 > 0);
+  Hashtbl.iter
+    (fun k v -> Alcotest.(check (option string)) k v (Db.get db k))
+    expected;
   Alcotest.(check (list string)) "verify clean" [] (Db.verify_integrity db);
   (* Nothing was set aside: readmission, not discard. *)
   Array.iter
@@ -340,7 +433,11 @@ let suites =
     ( "selfheal.quarantine",
       [
         Alcotest.test_case "transient rot round trip" `Quick
-          transient_rot_round_trip;
+          (transient_rot_round_trip Every_table);
+        Alcotest.test_case "transient rot, isolated table" `Quick
+          (transient_rot_round_trip Isolated_table);
+        Alcotest.test_case "transient rot, closure spans L0+L1" `Quick
+          (transient_rot_round_trip Table_under_l0);
         Alcotest.test_case "persistent rot round trip" `Quick
           persistent_rot_round_trip;
       ] );

@@ -134,6 +134,39 @@ let refcount_lifecycle () =
   Alcotest.(check bool) "file deleted after last release" false
     (Sys.file_exists path)
 
+let validate_flags_shadowed_versions () =
+  (* The post-compaction state of a split version group: k's newer
+     versions were moved down to L2 while its older ones stayed at L1,
+     where a search finds them first. *)
+  let value ts = Some (Printf.sprintf "v%d" ts) in
+  let l1 =
+    make_file
+      (("a00", 1, value 1) :: List.init 27 (fun i -> ("k", 10 + i, value (10 + i))))
+  in
+  let l2 =
+    make_file
+      (("z00", 1, value 1) :: List.init 13 (fun i -> ("k", 37 + i, value (37 + i))))
+  in
+  let levels = Array.make 2 [] in
+  levels.(0) <- [ l1 ];
+  levels.(1) <- [ l2 ];
+  let v = Version.create ~l0:[] ~levels in
+  Alcotest.check entry_testable "the stale copy answers"
+    (Some (36, Entry.Value "v36"))
+    (Version.get v ~user_key:"k" ~snap_ts:Internal_key.max_ts);
+  (match Version.validate v with
+  | [ p ] ->
+      Alcotest.(check bool) (Printf.sprintf "names k: %s" p) true
+        (String.starts_with ~prefix:"key \"k\"" p)
+  | ps -> Alcotest.failf "expected one recency problem, got %d" (List.length ps));
+  (* The same copies with L0 above L1 in the right order are healthy. *)
+  let ok = Version.create ~l0:[ l2 ] ~levels:[| [ l1 ]; [] |] in
+  Alcotest.(check (list string)) "newest-first layout passes" []
+    (Version.validate ok);
+  Version.release ok;
+  Version.release v;
+  List.iter Refcounted.retire [ l1; l2 ]
+
 (* ---------- Compaction.pick / apply ---------- *)
 
 let small_cfg =
@@ -143,6 +176,40 @@ let small_cfg =
     level1_max_bytes = 1024;
     level_size_multiplier = 10;
   }
+
+let apply_removes_inputs_anywhere () =
+  (* A forced input set (quarantine readmission) spans L0 and L1 and
+     names a table absent from the version; all of it lands at the
+     bottom. *)
+  let f0 = make_file [ ("m", 7, Some "l0") ] in
+  let f1 = make_file [ ("a", 2, Some "l1"); ("z", 2, Some "l1") ] in
+  let absent = make_file [ ("m", 1, Some "old") ] in
+  let v = Version.create ~l0:[ f0 ] ~levels:[| [ f1 ]; []; [] |] in
+  let task =
+    {
+      Compaction.src_level = 0;
+      inputs_lo = [ absent; f0; f1 ];
+      inputs_hi = [];
+      target_level = 3;
+      drop_tombstones = false;
+    }
+  in
+  let n = ref 9700 in
+  let outputs =
+    Compaction.run ~cfg:small_cfg ~dir:tmp_dir
+      ~alloc_number:(fun () -> incr n; !n)
+      ~snapshots:[] task
+  in
+  let v' = Compaction.apply v task ~outputs in
+  List.iter Refcounted.retire outputs;
+  Alcotest.(check (list int)) "files per level" [ 0; 0; 0; 1 ]
+    (List.init 4 (Version.level_file_count v'));
+  Alcotest.check entry_testable "newest m" (Some (7, Entry.Value "l0"))
+    (Version.get v' ~user_key:"m" ~snap_ts:Internal_key.max_ts);
+  Alcotest.(check (list string)) "valid" [] (Version.validate v');
+  Version.release v';
+  Version.release v;
+  List.iter Refcounted.retire [ f0; f1; absent ]
 
 let pick_l0 () =
   let f1 = make_file [ ("a", 1, Some "1") ] in
@@ -468,6 +535,8 @@ let suites =
         Alcotest.test_case "tombstone shadows" `Quick get_tombstone_shadows;
         Alcotest.test_case "iters cover everything" `Quick iters_cover_everything;
         Alcotest.test_case "refcount lifecycle" `Quick refcount_lifecycle;
+        Alcotest.test_case "validate flags shadowed versions" `Quick
+          validate_flags_shadowed_versions;
       ] );
     ( "lsm.compaction",
       [
@@ -475,6 +544,8 @@ let suites =
         Alcotest.test_case "pick none when quiet" `Quick pick_none_when_quiet;
         Alcotest.test_case "run + apply L0 merge" `Quick run_and_apply_l0_merge;
         Alcotest.test_case "apply preserves new L0" `Quick apply_preserves_new_l0;
+        Alcotest.test_case "apply removes inputs at any level" `Quick
+          apply_removes_inputs_anywhere;
       ] );
     ( "lsm.compaction.subranges",
       [
