@@ -247,7 +247,6 @@ let mixed_opts ~dir ~max_subcompactions =
     base with
     Options.memtable_bytes = 256 * 1024;
     wal_enabled = false;
-    maintenance_workers = 2;
     max_subcompactions;
     lsm =
       {
@@ -344,7 +343,7 @@ let durability_opts ~dir ~wal_sync =
     Options.memtable_bytes = 1 lsl 24;
     wal_enabled = true;
     wal_sync;
-    maintenance_workers = 1;
+    scheduler = Scheduler.create ~num_workers:1 ();
   }
 
 let run_durability_cell_once ~writers ~name ~wal_sync ~n ~value =
@@ -493,7 +492,7 @@ let read_opts ~dir =
     Options.memtable_bytes = 1 lsl 22;
     wal_enabled = false;
     cache_bytes = 1 lsl 26;
-    maintenance_workers = 1;
+    scheduler = Scheduler.create ~num_workers:1 ();
   }
 
 type read_op = Point | Scan of int

@@ -21,6 +21,11 @@ type t = {
          RMW's in-flight fence drains — older RMWs self-detect via their
          conflict check, so waiting on them would serialize all RMWs *)
   snap_time : Monotonic_counter.t;
+  gc_floor : Monotonic_counter.t;
+      (* no snapshot is fenced below this: a GC pass on some store of
+         this clock may have collapsed the versions beneath it (shards
+         do not wait for each other's in-flight writers, which would
+         otherwise hold serializable snapshots that low) *)
   snapshots : Snapshot_registry.t;
 }
 
@@ -30,6 +35,7 @@ let create ?(active_set_capacity = 4096) () =
     active = Active_set.create ~capacity:active_set_capacity ();
     put_active = Active_set.create ~capacity:active_set_capacity ();
     snap_time = Monotonic_counter.create 0;
+    gc_floor = Monotonic_counter.create 0;
     snapshots = Snapshot_registry.create ();
   }
 
@@ -125,13 +131,17 @@ let snap_ts t ~mode =
             | Some tsa -> min ts (tsa - 1)
             | None -> ts)
       in
+      let ts = max ts (Monotonic_counter.get t.gc_floor) in
       ignore (Monotonic_counter.advance_to t.snap_time ts);
-      (* Line 13: wait out writes whose timestamps are below snapTime;
-         each iteration implies progress of some writer or getSnap. *)
+      (* Line 13: wait out writes whose timestamps are at or below
+         snapTime — one that drew exactly snapTime and passed its getTS
+         check before the advance would otherwise publish into the
+         snapshot after it was taken; each iteration implies progress of
+         some writer or getSnap. *)
       let b = Backoff.create () in
       let rec wait () =
         match Active_set.find_min t.active with
-        | Some m when m < Monotonic_counter.get t.snap_time ->
+        | Some m when m <= Monotonic_counter.get t.snap_time ->
             Backoff.once b;
             wait ()
         | Some _ | None -> ()
@@ -139,11 +149,28 @@ let snap_ts t ~mode =
       wait ();
       Monotonic_counter.get t.snap_time
 
-let register_snapshot t ?ttl ~now:now_s ts =
-  if ts > 0 then Some (Snapshot_registry.install t.snapshots ?ttl ~now:now_s ts)
-  else None
-
 let release_snapshot t handle = Snapshot_registry.remove t.snapshots handle
 
-let live_snapshots t ~now:now_s =
+(* Fence a timestamp, then pin it. A GC pass that raised the floor past
+   it in between may have listed the pins before this one landed: take
+   a fresh snapshot, which the raised floor lifts above what that pass
+   collapsed. *)
+let take_snapshot t ~mode ?ttl ~now:now_s () =
+  let rec go () =
+    let ts = snap_ts t ~mode in
+    let handle =
+      if ts > 0 then
+        Some (Snapshot_registry.install t.snapshots ?ttl ~now:now_s ts)
+      else None
+    in
+    if ts >= Monotonic_counter.get t.gc_floor then (ts, handle)
+    else begin
+      Option.iter (release_snapshot t) handle;
+      go ()
+    end
+  in
+  go ()
+
+let gc_snapshots t ~now:now_s =
+  ignore (Monotonic_counter.advance_to t.gc_floor (now t));
   Snapshot_registry.live_timestamps t.snapshots ~now:now_s

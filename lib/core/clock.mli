@@ -6,8 +6,8 @@
     across all of them.
 
     Every operation is safe from any domain; nothing here blocks except
-    the bounded fence waits of {!snap_ts} and {!rmw_fence}, whose every
-    wait iteration implies progress of some in-flight writer. *)
+    the bounded fence waits of {!take_snapshot} and {!rmw_fence}, whose
+    every wait iteration implies progress of some in-flight writer. *)
 
 open Clsm_primitives
 
@@ -55,17 +55,20 @@ type snapshot_mode =
   | Linearizable  (** §3.2.1 variant: omit lines 10–11 *)
   | Unsafe_naive  (** ABLATION ONLY: raw [timeCounter] read, racy *)
 
-val snap_ts : t -> mode:snapshot_mode -> int
-(** Algorithm 2's [getSnap] core: choose, fence and wait out a snapshot
-    timestamp valid against every store on this clock. *)
-
-val register_snapshot :
-  t -> ?ttl:float -> now:float -> int -> Snapshot_registry.handle option
-(** Pin [ts] in the registry compaction GC consults; [None] when
-    [ts = 0] (nothing written yet — nothing to pin). *)
+val take_snapshot :
+  t -> mode:snapshot_mode -> ?ttl:float -> now:float -> unit ->
+  int * Snapshot_registry.handle option
+(** Algorithm 2's [getSnap]: choose, fence and wait out a snapshot
+    timestamp valid against every store on this clock, never below the
+    floor {!gc_snapshots} raised, and pin it in the registry compaction
+    GC consults. The handle is [None] when the timestamp is [0] (nothing
+    written yet — nothing to pin). *)
 
 val release_snapshot : t -> Snapshot_registry.handle -> unit
 
-val live_snapshots : t -> now:float -> int list
-(** Live pinned timestamps, ascending — the GC floor for every store
-    sharing this clock. *)
+val gc_snapshots : t -> now:float -> int list
+(** For a flush or compaction about to collapse versions: raise the
+    floor below which no snapshot will be fenced to [now t], then return
+    the live pinned timestamps, ascending. Every version the pass may
+    drop is at or below that floor, so it is invisible to every snapshot
+    not in the list. *)

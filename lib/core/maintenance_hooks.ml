@@ -218,7 +218,7 @@ module Make (M : Memtable_intf.S) = struct
     match current_imm t with
     | No_imm -> false
     | Imm mc ->
-        let snapshots = Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()) in
+        let snapshots = Clock.gc_snapshots t.clock ~now:(Unix.gettimeofday ()) in
         let bytes = M.approximate_bytes mc.mem in
         (* Safe to retry wholesale: a failed attempt cleans up its partial
            outputs (Compaction.cleanup_failed), so each retry starts from
@@ -265,7 +265,7 @@ module Make (M : Memtable_intf.S) = struct
   (* Run one claimed compaction: merge outside any lock, then install.
      Caller owns the claim on the task's level range. *)
   let run_compaction t task =
-    let snapshots = Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()) in
+    let snapshots = Clock.gc_snapshots t.clock ~now:(Unix.gettimeofday ()) in
     let started = Unix.gettimeofday () in
     (* The expensive merge, range-partitioned across domains when the
        knob allows: each subrange gets its own clamped merge cursor and
@@ -572,7 +572,7 @@ module Make (M : Memtable_intf.S) = struct
           Compaction.run ~cfg:t.opts.Options.lsm ~dir:t.opts.Options.dir
             ~cache:t.cache ~env:t.opts.Options.env
             ~alloc_number:(alloc_file_number t)
-            ~snapshots:(Clock.live_snapshots t.clock ~now:(Unix.gettimeofday ()))
+            ~snapshots:(Clock.gc_snapshots t.clock ~now:(Unix.gettimeofday ()))
             task
         in
         (* The manifest written by this install must not list [number]
@@ -732,7 +732,7 @@ module Make (M : Memtable_intf.S) = struct
     end
   [@@excludes_locks]
 
-  (* ---------- the scheduler's job interface ---------- *)
+  (* ---------- the pool's job interface ---------- *)
 
   (* Claim the highest-priority runnable job, in [Job.priority] order:
      an unclaimed needed flush first (it is what frees WAL space), then
@@ -766,7 +766,9 @@ module Make (M : Memtable_intf.S) = struct
           <|> fun () ->
           if degraded then None
           else
-            claim_compaction_locked t <|> fun () ->
+            (if Atomic.get t.claims.draining > 0 then None
+             else claim_compaction_locked t)
+            <|> fun () ->
             if
               t.opts.Options.scrub_interval > 0.0
               && Mutex.protect h.hm (fun () -> now >= h.scrub_next_due)
@@ -798,12 +800,9 @@ module Make (M : Memtable_intf.S) = struct
   (* Run a claimed job and release its claim. A compaction's claim is
      released only after its pinned version is dropped, so whoever waits
      for quiescence also waits for the inputs to become deletable. *)
-  let rec run t (job : Job.t) =
+  let run t (job : Job.t) =
     let released claim f = Fun.protect ~finally:(fun () -> release t claim) f in
     match job with
-    (* [In_shard] is the router's tag; a single store never claims one.
-       Unwrap defensively rather than crash a worker. *)
-    | Job.In_shard { job; _ } -> run t job
     | Job.Flush ->
         released Flush (fun () ->
             guard_io t ~what:"memtable flush" (fun () -> run_flush t))
@@ -828,22 +827,15 @@ module Make (M : Memtable_intf.S) = struct
                     guard_io t ~what:"compaction" (fun () ->
                         run_compaction t task)))
 
-  let make_scheduler t =
-    Scheduler.create ~num_workers:t.opts.Options.maintenance_workers
-      ~tick_interval:t.opts.Options.maintenance_tick
-      ~next:(fun () -> next t)
-      ~run:(fun job -> run t job)
-      ()
-
   (* ---------- foreground maintenance ---------- *)
 
   (* Synchronously rotate, flush and compact to quiescence, cooperating
      with (not fighting) the background workers: claims are shared, and
      quiescence means no claimable work and no flush or compaction in
-     flight. *)
+     flight. The caller runs the compactions ([draining]): a worker that
+     won the first merge left it idling with the memtable it had just
+     flushed uncollected, and a bulk load's peak heap swung by half. *)
   let compact_now t =
-    with_claim t Flush (fun () ->
-        guard_io t ~what:"foreground flush" (fun () -> flush_all t));
     let c = t.claims in
     let rec drain () =
       match
@@ -871,7 +863,13 @@ module Make (M : Memtable_intf.S) = struct
           drain ()
       | `Idle -> ()
     in
-    drain ()
+    Atomic.incr c.draining;
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr c.draining)
+      (fun () ->
+        with_claim t Flush (fun () ->
+            guard_io t ~what:"foreground flush" (fun () -> flush_all t));
+        drain ())
   [@@excludes_locks]
 
   (* Synchronous repair attempt (the Repair job, forced): containment,

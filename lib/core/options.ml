@@ -11,8 +11,7 @@ type t = {
   linearizable_snapshots : bool;
   unsafe_naive_snapshots : bool;
   active_set_capacity : int;
-  maintenance_workers : int;
-  maintenance_tick : float;
+  scheduler : Clsm_maintenance.Scheduler.t;
   max_subcompactions : int;
   backpressure_max_delay_us : int;
   lsm : Clsm_lsm.Lsm_config.t;
@@ -21,7 +20,6 @@ type t = {
   clock : Clock.t option;
   shards : int;
   shard_boundaries : string list option;
-  external_maintenance : bool;
   retry : Clsm_env.Retry_policy.t;
   scrub_interval : float;
   scrub_block_budget : int;
@@ -39,8 +37,7 @@ let default ~dir =
     linearizable_snapshots = false;
     unsafe_naive_snapshots = false;
     active_set_capacity = 4096;
-    maintenance_workers = 2;
-    maintenance_tick = 0.25;
+    scheduler = Clsm_maintenance.Scheduler.shared;
     max_subcompactions = 1;
     backpressure_max_delay_us = 1000;
     lsm = Clsm_lsm.Lsm_config.default;
@@ -49,7 +46,6 @@ let default ~dir =
     clock = None;
     shards = 1;
     shard_boundaries = None;
-    external_maintenance = false;
     retry = Clsm_env.Retry_policy.default;
     scrub_interval = 30.0;
     scrub_block_budget = 256;

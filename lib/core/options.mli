@@ -36,15 +36,12 @@ type t = {
           [timeCounter], skipping the Active-set protocol — reintroduces the
           Figure 3/4 races (scans may observe inconsistent states) *)
   active_set_capacity : int;  (** slots for in-flight timestamps *)
-  maintenance_workers : int;
-      (** background worker domains for flush/compaction (default 2);
-          flushes and deep-level compactions proceed in parallel on
-          disjoint level ranges *)
-  maintenance_tick : float;
-      (** scheduler fallback-tick interval in seconds (default 0.25);
-          maintenance is normally event-driven — write paths signal the
-          scheduler — and the tick only bounds the staleness of work
-          nobody signalled for *)
+  scheduler : Clsm_maintenance.Scheduler.t;
+      (** the maintenance pool that runs the store's flushes,
+          compactions, repairs and scrubs (default
+          {!Clsm_maintenance.Scheduler.shared}: 2 workers, 0.25 s tick,
+          shared by every store in the process); inject a
+          [Scheduler.create] pool for another worker count or tick *)
   max_subcompactions : int;
       (** ceiling on range-partitioned subcompactions per compaction job
           (default 1 — sequential merge). With [n > 1] a picked
@@ -76,10 +73,6 @@ type t = {
       (** explicit ascending split keys (length [shards - 1]) for the
           shard router; [None] derives byte-uniform boundaries. On reopen
           the directory's persisted sharding layout wins *)
-  external_maintenance : bool;
-      (** do not start a private maintenance scheduler (default false);
-          set by the shard router, which drives every shard's flush and
-          compaction claims from one shared worker pool *)
   retry : Clsm_env.Retry_policy.t;
       (** backoff policy wrapped around maintenance-path IO commit points
           (sorted-run writes, compaction merges, manifest saves) so a

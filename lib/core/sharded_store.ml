@@ -9,7 +9,7 @@
    pipeline) multiply by N. Cross-shard consistency costs exactly one
    extra lock:
 
-   - [get_snap] runs ONE [Clock.snap_ts] fence and registers ONE
+   - [get_snap] runs ONE [Clock.take_snapshot]: one fence, one
      registry entry; per-shard views at that timestamp are materialized
      with [S.snapshot_at] (no fence, no registration).
    - [write_batch] stamps each shard's sub-batch with a bare
@@ -27,17 +27,14 @@
      batch holds router-shared and at most one shard-exclusive at a
      time; shards never take the router lock.
 
-   Maintenance is arbitrated by ONE shared scheduler: shards are opened
-   with [external_maintenance] (no private pools), their wake signals
-   are re-pointed at the shared pool, and the pool's [next] round-robins
-   over shards' claim queues, wrapping claims as [Job.In_shard] so claim
-   bookkeeping stays inside the owning shard. *)
+   The router runs no maintenance of its own: every shard registers
+   with the pool in [Options.scheduler] like any single store, and the
+   pool's round-robin over its sources arbitrates jobs across shards
+   while claim bookkeeping stays inside the owning shard. *)
 
 open Clsm_primitives
 open Clsm_lsm
 module Env = Clsm_env.Env
-module Job = Clsm_maintenance.Job
-module Scheduler = Clsm_maintenance.Scheduler
 
 (* ---------- the persisted sharding layout ---------- *)
 
@@ -125,8 +122,6 @@ module Make (S : Store_sig.EXTENDED) = struct
     batch_lock : Shared_lock.t;
         (* batches shared / cross-shard getSnap exclusive, see above *)
     stats : Stats.t; (* router-level counters (snapshot fences) *)
-    mutable scheduler : Scheduler.t option;
-    rr : int Atomic.t; (* round-robin cursor of the shared [next] *)
     mutable closed : bool;
     close_mutex : Mutex.t;
   }
@@ -146,25 +141,6 @@ module Make (S : Store_sig.EXTENDED) = struct
   (* ---------- open / close ---------- *)
 
   let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%d" i)
-
-  let make_next t () =
-    let n = Array.length t.shards in
-    let start = Atomic.fetch_and_add t.rr 1 in
-    let rec probe i =
-      if i >= n then None
-      else
-        let s = (start + i) mod n in
-        match S.maintenance_next t.shards.(s) with
-        | Some job -> Some (Job.In_shard { shard = s; job })
-        | None -> probe (i + 1)
-    in
-    probe 0
-
-  let run_job t = function
-    | Job.In_shard { shard; job } -> S.maintenance_run t.shards.(shard) job
-    (* [make_next] only emits In_shard; anything else has no claim to
-       release, so dropping it is safe. *)
-    | Job.Flush | Job.Compact _ | Job.Repair | Job.Scrub -> ()
 
   let open_store (opts : Options.t) =
     let env = opts.Options.env in
@@ -200,7 +176,6 @@ module Make (S : Store_sig.EXTENDED) = struct
         opts with
         Options.dir = shard_dir opts.Options.dir i;
         clock = Some clock;
-        external_maintenance = true;
         shards = 1;
         shard_boundaries = None;
       }
@@ -218,38 +193,16 @@ module Make (S : Store_sig.EXTENDED) = struct
         List.iter (fun s -> try S.close s with _ -> ()) !opened;
         raise e
     in
-    let t =
-      {
-        opts;
-        clock;
-        shards;
-        bounds;
-        batch_lock = Shared_lock.create ();
-        stats = Stats.create ();
-        scheduler = None;
-        rr = Atomic.make 0;
-        closed = false;
-        close_mutex = Mutex.create ();
-      }
-    in
-    if not opts.Options.external_maintenance then begin
-      let sched =
-        Scheduler.create ~num_workers:opts.Options.maintenance_workers
-          ~tick_interval:opts.Options.maintenance_tick ~next:(make_next t)
-          ~run:(run_job t) ()
-      in
-      t.scheduler <- Some sched;
-      Array.iter (fun s -> S.set_wake_hook s (fun () -> Scheduler.wake sched)) shards;
-      Scheduler.start sched
-    end;
-    t
-
-  let stop_scheduler t =
-    match t.scheduler with
-    | Some s ->
-        Scheduler.stop s;
-        t.scheduler <- None
-    | None -> ()
+    {
+      opts;
+      clock;
+      shards;
+      bounds;
+      batch_lock = Shared_lock.create ();
+      stats = Stats.create ();
+      closed = false;
+      close_mutex = Mutex.create ();
+    }
 
   (* Close every shard even when one of them fails; the first failure
      still reaches the caller. *)
@@ -267,7 +220,6 @@ module Make (S : Store_sig.EXTENDED) = struct
       (fun () ->
         if not t.closed then begin
           t.closed <- true;
-          stop_scheduler t;
           close_shards ~f:S.close t
         end)
 
@@ -278,7 +230,6 @@ module Make (S : Store_sig.EXTENDED) = struct
       (fun () ->
         if not t.closed then begin
           t.closed <- true;
-          stop_scheduler t;
           close_shards ~f:S.simulate_crash t
         end)
 
@@ -341,9 +292,9 @@ module Make (S : Store_sig.EXTENDED) = struct
   let get_snap ?ttl t =
     Stats.incr_snapshots t.stats;
     Shared_lock.lock_exclusive t.batch_lock;
-    let ts = Clock.snap_ts t.clock ~mode:(snapshot_mode t) in
-    let handle =
-      Clock.register_snapshot t.clock ?ttl ~now:(Unix.gettimeofday ()) ts
+    let ts, handle =
+      Clock.take_snapshot t.clock ~mode:(snapshot_mode t) ?ttl
+        ~now:(Unix.gettimeofday ()) ()
     in
     Shared_lock.unlock_exclusive t.batch_lock;
     { snap_ts = ts; handle; released = Atomic.make false }

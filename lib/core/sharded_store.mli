@@ -15,9 +15,11 @@
       fences for the duration (router-level shared-exclusive lock:
       batches shared, [get_snap] exclusive), so a router snapshot sees
       all of a batch or none of it;
-    - one shared maintenance pool arbitrates flush/compaction across all
-      shards ([Job.In_shard] claims, round-robin), replacing the shards'
-      private schedulers.
+    - maintenance needs no router code: every shard registers with the
+      pool in [Options.scheduler] (by default the process-wide one),
+      whose workers claim round-robin across its sources, so each
+      shard's flush/compaction claims stay in the shard while no shard
+      starves another.
 
     The boundary keys are persisted in a [SHARDING] file in the root
     directory (version header, hex-encoded keys); on reopen the file

@@ -5,8 +5,8 @@
    their own modules and are composed here: shared state in
    {!Store_state}, crash recovery in {!Recovery}, the graduated write
    controller in {!Backpressure}, the merge hooks and job layer in
-   {!Maintenance_hooks}, driven by the event-driven
-   {!Clsm_maintenance.Scheduler}. *)
+   {!Maintenance_hooks}, driven by the process-wide maintenance pool
+   ({!Clsm_maintenance.Scheduler}) the store registers with. *)
 
 module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
   open Clsm_primitives
@@ -309,9 +309,9 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
   let get_snap ?ttl t =
     Stats.incr_snapshots t.stats;
     Shared_lock.lock_shared t.lock;
-    let tsb = Clock.snap_ts t.clock ~mode:(snapshot_mode t) in
-    let handle =
-      Clock.register_snapshot t.clock ?ttl ~now:(Unix.gettimeofday ()) tsb
+    let tsb, handle =
+      Clock.take_snapshot t.clock ~mode:(snapshot_mode t) ?ttl
+        ~now:(Unix.gettimeofday ()) ()
     in
     Shared_lock.unlock_shared t.lock;
     { snap_ts = tsb; handle; released = Atomic.make false }
@@ -499,7 +499,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
     iter_close it;
     result
 
-  (* ---------- maintenance (delegated to the scheduler + hooks) ---------- *)
+  (* ---------- maintenance (delegated to the pool + hooks) ---------- *)
 
   let compact_now t = Hooks.compact_now t
 
@@ -548,23 +548,23 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
         degraded = Atomic.make None;
         heal = fresh_heal ~quarantined:r.Recover.quarantined;
         install = Mutex.create ();
-        claims = { cm = Mutex.create (); held = []; waiting = [] };
+        claims =
+          { cm = Mutex.create (); held = []; waiting = []; draining = Atomic.make 0 };
         compact_pointers = Array.make (num_levels - 1) "";
         backpressure =
           Backpressure.create
             ~config:(Backpressure.config_of_options opts)
             ~stats;
-        scheduler = None;
-        wake_hook = None;
+        source = None;
         closed = false;
         close_mutex = Mutex.create ();
       }
     in
-    if not opts.external_maintenance then begin
-      let scheduler = Hooks.make_scheduler t in
-      t.scheduler <- Some scheduler;
-      Clsm_maintenance.Scheduler.start scheduler
-    end;
+    t.source <-
+      Some
+        (Clsm_maintenance.Scheduler.register opts.scheduler
+           ~next:(fun () -> Hooks.next t)
+           ~run:(Hooks.run t));
     t
 
   let repair = Recovery.repair
@@ -574,13 +574,11 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
     | Some w -> Clsm_wal.Wal_writer.flush w
     | None -> ()
 
-  let stop_scheduler t =
+  (* Stop claiming, then leave the pool; returns once this store's
+     in-flight jobs have finished. *)
+  let stop_maintenance t =
     Atomic.set t.stop true;
-    match t.scheduler with
-    | Some s ->
-        Clsm_maintenance.Scheduler.stop s;
-        t.scheduler <- None
-    | None -> ()
+    Option.iter Clsm_maintenance.Scheduler.unregister t.source
 
   (* Testing hook: die without flushing the WAL queue or saving the
      manifest — what a crash leaves on disk. The value must not be used
@@ -589,7 +587,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
     Mutex.protect t.close_mutex (fun () ->
         if not t.closed then begin
           t.closed <- true;
-          stop_scheduler t;
+          stop_maintenance t;
           match (current_pm t).wal with
           | Some w -> Clsm_wal.Wal_writer.abandon w
           | None -> ()
@@ -602,7 +600,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
       (fun () ->
         if not t.closed then begin
           t.closed <- true;
-          stop_scheduler t;
+          stop_maintenance t;
           let pm_cell = Rcu_box.peek t.pm in
           (* The component references are released even when the final
              flush or manifest save fails — the error still reaches the
@@ -670,7 +668,4 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
   (* ---------- router support (Store_sig.EXTENDED) ---------- *)
 
   let clock t = t.clock
-  let maintenance_next t = Hooks.next t
-  let maintenance_run t job = Hooks.run t job
-  let set_wake_hook t f = t.wake_hook <- Some f
 end

@@ -182,9 +182,9 @@ end
 
 (** The extended surface a store exposes so a router (e.g.
     {!Sharded_store}) can compose several instances into one: access to
-    the logical clock, snapshot views at an externally fenced timestamp,
-    and the maintenance claim/run pair so one shared worker pool can
-    arbitrate flush/compaction jobs across instances. *)
+    the logical clock and snapshot views at an externally fenced
+    timestamp. Maintenance needs nothing here: every instance registers
+    with the pool in its [Options.scheduler] on its own. *)
 module type EXTENDED = sig
   include S
 
@@ -194,22 +194,8 @@ module type EXTENDED = sig
 
   val snapshot_at : t -> ts:int -> snapshot
   (** A snapshot view at a timestamp the {e caller} has already fenced
-      (via {!Clock.snap_ts} on this store's clock) and keeps registered:
-      no fence is run and no registry entry is taken, so releasing it is
-      a no-op. Reading through a timestamp that was never fenced on this
-      clock is unsound. *)
-
-  val maintenance_next : t -> Clsm_maintenance.Job.t option
-  (** Claim this store's highest-priority runnable maintenance job
-      ([None] when idle, stopped or degraded). Thread-safe; the claim
-      must be discharged with {!maintenance_run}. *)
-
-  val maintenance_run : t -> Clsm_maintenance.Job.t -> unit
-  (** Execute a job claimed by {!maintenance_next} and release its claim
-      (exceptions are degraded into read-only mode, never propagated). *)
-
-  val set_wake_hook : t -> (unit -> unit) -> unit
-  (** Where "maintenance work exists" signals go when the store was
-      opened with [Options.external_maintenance] (no private scheduler):
-      the router points this at its shared scheduler's wake. *)
+      (via {!Clock.take_snapshot} on this store's clock) and keeps
+      registered: no fence is run and no registry entry is taken, so
+      releasing it is a no-op. Reading through a timestamp that was
+      never fenced on this clock is unsound. *)
 end

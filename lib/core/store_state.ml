@@ -27,7 +27,8 @@ module Make (M : Memtable_intf.S) = struct
      and execution. Readmission claims the whole range [(0, bottom)].
      [waiting] lists the claims a blocked caller is waiting for; new
      non-blocking claims that conflict with one are refused, so a steady
-     compaction stream cannot starve repair. *)
+     compaction stream cannot starve repair. While [draining] (callers
+     inside [compact_now]) is positive, the pool claims no compaction. *)
   type claimed_compaction = {
     task : Compaction.task;
     pinned : Version.t Refcounted.t;
@@ -39,6 +40,7 @@ module Make (M : Memtable_intf.S) = struct
     cm : Mutex.t;
     mutable held : (claim * claimed_compaction option) list;
     mutable waiting : claim list;
+    draining : int Atomic.t;
   }
 
   (* Self-healing state. Read paths never mutate the version or the
@@ -86,10 +88,9 @@ module Make (M : Memtable_intf.S) = struct
     claims : claims;
     backpressure : Backpressure.t;
     compact_pointers : string array; (* per-level round-robin cursors *)
-    mutable scheduler : Clsm_maintenance.Scheduler.t option;
-    mutable wake_hook : (unit -> unit) option;
-        (* where maintenance-work signals go when the pool is external
-           (a shard router's shared scheduler) instead of [scheduler] *)
+    mutable source : Clsm_maintenance.Scheduler.source option;
+        (* this store's registration with [opts.scheduler], the
+           maintenance pool; set once, right after the record is built *)
     degraded : string option Atomic.t;
         (* Some reason once an unrecoverable IO failure (ENOSPC, failed
            fsync) hits a maintenance path: the store stops accepting
@@ -121,18 +122,15 @@ module Make (M : Memtable_intf.S) = struct
   let current_imm t = Refcounted.value (Rcu_box.peek t.pimm)
   let current_version t = Refcounted.value (Rcu_box.peek t.pd)
 
-  (* Signal the maintenance scheduler that work exists (memtable over
+  (* Signal the maintenance pool that work exists (memtable over
      threshold, rotation, stall). The paper's sleep-polling background
      loop is gone: this is a real Mutex+Condition wakeup. *)
   let wake_bg t =
-    match (t.scheduler, t.wake_hook) with
-    | Some s, _ ->
+    match t.source with
+    | Some s ->
         Stats.incr_maintenance_wakeups t.stats;
         Clsm_maintenance.Scheduler.wake s
-    | None, Some wake ->
-        Stats.incr_maintenance_wakeups t.stats;
-        wake ()
-    | None, None -> ()
+    | None -> ()
 
   (* Record a corruption verdict against a table file, deduplicated, and
      signal maintenance. Safe from any read path (only takes the heal

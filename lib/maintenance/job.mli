@@ -19,15 +19,10 @@ type t =
   | Scrub
       (** incremental background media check: re-verify sstable blocks
           and the WAL tail at a configurable IO budget *)
-  | In_shard of { shard : int; job : t }
-      (** [job], claimed from shard [shard] of a range-sharded store:
-          how one shared worker pool arbitrates jobs across shards while
-          claim bookkeeping stays per shard *)
 
 val priority : t -> int
 (** Smaller is more urgent. [Flush] is [0]; [Repair] is [1]; [Compact]
-    of level [l] is [l + 2]; [Scrub] yields to everything; [In_shard] is
-    transparent (its inner job's priority). *)
+    of level [l] is [l + 2]; [Scrub] yields to everything. *)
 
 val compare : t -> t -> int
 (** Orders by {!priority}. *)

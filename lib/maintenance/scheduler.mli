@@ -1,53 +1,51 @@
-(** Event-driven maintenance scheduler.
+(** The maintenance pool: one event-driven worker pool shared by every
+    store in the process.
 
-    Replaces the store's sleep-polling background domain with a pool of
-    worker domains parked on a {!Clsm_primitives.Wakeup} cell. Write
-    paths call {!wake} when they create work (memtable over its
-    threshold, L0 pile-up, rotation); a ticker domain additionally
-    signals every [tick_interval] as a fallback clock, so deferred work
-    (e.g. a compaction that became eligible without any put noticing) is
-    still picked up with bounded delay.
-
-    The scheduler owns no job queue: [next] claims and returns the
-    highest-priority runnable job under the caller's own bookkeeping,
-    and [run] executes it and releases the claim. Workers loop
-    [next]/[run] until [next] returns [None], then block on the wakeup
-    cell. This keeps claim state (which levels are busy, whether a flush
-    is in flight) next to the store where its invariants live, while the
-    scheduler provides wakeup, parallelism and lifecycle. *)
+    Each store (or shard) registers as a {e source}: a [next] that
+    claims its highest-priority runnable job under the store's own
+    bookkeeping and a [run] that executes it and releases the claim.
+    Workers claim round-robin across sources, so a busy store cannot
+    starve another, then park on a {!Clsm_primitives.Wakeup} cell until
+    a write path calls {!wake} or the fallback tick fires. The tick is a
+    systhread inside worker 0's domain: the pool owns exactly
+    [num_workers] domains, started on the first {!register} and joined
+    on the last {!unregister}. *)
 
 type t
+type source
 
-val create :
-  ?num_workers:int ->
-  ?tick_interval:float ->
-  next:(unit -> Job.t option) ->
-  run:(Job.t -> unit) ->
-  unit ->
-  t
-(** [num_workers] defaults to [2]; [tick_interval] (seconds) defaults to
-    [0.25]. [next] must be thread-safe and claim the job it returns;
-    [run] must release the claim even on failure (exceptions escaping
-    [run] are caught and logged by the worker). No domain is spawned
-    until {!start}. *)
+val create : ?num_workers:int -> ?tick_interval:float -> unit -> t
+(** [num_workers] defaults to [2] ([0]: nothing runs in the
+    background); [tick_interval] (seconds) defaults to [0.25]. *)
 
-val start : t -> unit
-(** Spawn the worker pool and the ticker. Idempotent. *)
+val shared : t
+(** The process-wide default pool, [create ()]; [Options.default]
+    injects it. *)
 
-val wake : t -> unit
-(** Signal the workers that work may exist. Never blocks; safe from any
-    domain; cheap when all workers are busy. *)
+val register : t -> next:(unit -> Job.t option) -> run:(Job.t -> unit) -> source
+(** Add a source and wake the workers. [next] must be thread-safe and
+    claim the job it returns; [run] must release the claim even on
+    failure (exceptions escaping [next] or [run] are caught and logged
+    by the worker). Starts the pool's worker domains if none run. *)
 
-val stop : t -> unit
-(** Ask workers to finish their current job, then join every domain.
-    The ticker wakes within ~50 ms regardless of [tick_interval].
-    Idempotent. After [stop], {!wake} is a no-op. *)
+val unregister : source -> unit
+(** Remove the source: no worker claims from it again, and the call
+    returns only after every job of the source already claimed has
+    returned from [run]. Joins the worker domains when this was the
+    last source. Idempotent. Must not be called from the source's own
+    [next] or [run]. *)
+
+val wake : source -> unit
+(** Signal the workers that the source may have work. Never blocks;
+    safe from any domain; cheap when all workers are busy. A no-op once
+    the source is unregistered. *)
 
 val jobs_run : t -> int
-(** Total jobs executed (for stats and tests). *)
+(** Total jobs executed across all sources (for stats and tests). *)
 
-val wakes : t -> int
-(** Total {!wake} signals delivered (for stats and tests). *)
+val running_workers : t -> int
+(** Worker domains currently running: [num_workers] while any source is
+    registered, [0] otherwise. *)
 
 val fan_out : (unit -> 'a) list -> ('a, exn) result list
 (** Run the thunks concurrently and join them all: the first on the

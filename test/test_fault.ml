@@ -4,6 +4,7 @@
    crash-recovery torture harness lives in test_torture.ml. *)
 
 open Clsm_core
+module Scheduler = Clsm_maintenance.Scheduler
 open Clsm_lsm
 open Clsm_env
 
@@ -38,8 +39,7 @@ let small_opts ?(env = Env.unix) ?(wal_enabled = true) ?(wal_sync = `Async)
     strict_wal;
     env;
     cache_bytes = 1 lsl 20;
-    maintenance_workers = 1;
-    maintenance_tick = 0.01;
+    scheduler = Scheduler.create ~num_workers:1 ~tick_interval:0.01 ();
     lsm =
       {
         base.Options.lsm with
@@ -180,11 +180,15 @@ let mid_flush_crash_leaves_no_orphans () =
   Faulty_env.install_crash_image f;
   (* The replayed memtable is over its budget, so a background worker
      would start flushing it at once and its in-flight .sst.tmp would
-     race the listing below. Without the store's own scheduler the
-     listing sees exactly what recovery left. *)
+     race the listing below. With a pool of no workers the listing
+     sees exactly what recovery left. *)
   let db =
     Db.open_store
-      { opts with Options.env = Env.unix; external_maintenance = true }
+      {
+        opts with
+        Options.env = Env.unix;
+        scheduler = Scheduler.create ~num_workers:0 ();
+      }
   in
   let listing = Sys.readdir dir |> Array.to_list in
   List.iter

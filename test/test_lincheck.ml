@@ -21,6 +21,7 @@
 
 open Clsm_core
 open Clsm_lincheck
+module Scheduler = Clsm_maintenance.Scheduler
 
 let num_seeds =
   match Sys.getenv_opt "LINCHECK_SEEDS" with
@@ -60,8 +61,7 @@ let opts ?(linearizable = false) dir =
     wal_sync = `Async;
     wal_enabled = true;
     linearizable_snapshots = linearizable;
-    maintenance_workers = 2;
-    maintenance_tick = 0.01;
+    scheduler = Scheduler.create ~num_workers:2 ~tick_interval:0.01 ();
     lsm =
       {
         base.Options.lsm with

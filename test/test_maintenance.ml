@@ -76,11 +76,9 @@ let job_priorities () =
 
 (* ---------- Scheduler ---------- *)
 
-(* With an effectively infinite tick, only the wake signal can run the
-   job: the scheduler is event-driven, not polling. *)
-let scheduler_runs_on_wake_not_tick () =
+(* A source whose [next] hands out [pending] flushes. *)
+let counting_source () =
   let pending = Atomic.make 0 in
-  let ran = Atomic.make 0 in
   let next () =
     let rec claim () =
       let n = Atomic.get pending in
@@ -90,38 +88,133 @@ let scheduler_runs_on_wake_not_tick () =
     in
     claim ()
   in
+  (pending, next)
+
+let await ?(timeout = 5.0) cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.002
+  done
+
+(* With an effectively infinite tick, only the wake signal can run the
+   job: the scheduler is event-driven, not polling. *)
+let scheduler_runs_on_wake_not_tick () =
+  let pending, next = counting_source () in
+  let ran = Atomic.make 0 in
   let run _job = Atomic.incr ran in
-  let s =
-    Scheduler.create ~num_workers:2 ~tick_interval:3600.0 ~next ~run ()
-  in
-  Scheduler.start s;
+  let pool = Scheduler.create ~num_workers:2 ~tick_interval:3600.0 () in
+  let src = Scheduler.register pool ~next ~run in
   Unix.sleepf 0.05;
   Alcotest.(check int) "idle until work exists" 0 (Atomic.get ran);
   Atomic.set pending 3;
-  Scheduler.wake s;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while Atomic.get ran < 3 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  Scheduler.stop s;
+  Scheduler.wake src;
+  await (fun () -> Atomic.get ran >= 3);
+  Scheduler.unregister src;
   Alcotest.(check int) "all jobs ran without a tick" 3 (Atomic.get ran);
-  Alcotest.(check int) "jobs counted" 3 (Scheduler.jobs_run s)
+  Alcotest.(check int) "jobs counted" 3 (Scheduler.jobs_run pool);
+  Alcotest.(check int) "last unregister joins the workers" 0
+    (Scheduler.running_workers pool)
 
 let scheduler_stop_joins_quickly () =
-  let s =
-    Scheduler.create ~num_workers:1 ~tick_interval:3600.0
-      ~next:(fun () -> None)
-      ~run:(fun _ -> ())
-      ()
+  let pool = Scheduler.create ~num_workers:1 ~tick_interval:3600.0 () in
+  let src =
+    Scheduler.register pool ~next:(fun () -> None) ~run:(fun _ -> ())
   in
-  Scheduler.start s;
   Unix.sleepf 0.02;
+  Alcotest.(check int) "one worker, no ticker domain" 1
+    (Scheduler.running_workers pool);
   let t0 = Unix.gettimeofday () in
-  Scheduler.stop s;
+  Scheduler.unregister src;
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool)
     (Printf.sprintf "stop returned in %.3fs despite 1h tick" elapsed)
-    true (elapsed < 2.0)
+    true (elapsed < 2.0);
+  Alcotest.(check int) "no worker left" 0 (Scheduler.running_workers pool)
+
+(* One worker, two sources with work: claims alternate between them.
+   Once a source is unregistered its [next] is never called again, even
+   with work pending and the other source still served. *)
+let scheduler_round_robin_and_unregister () =
+  let pool = Scheduler.create ~num_workers:1 ~tick_interval:3600.0 () in
+  let order = Atomic.make [] in
+  let go = Atomic.make false in
+  let record name = Atomic.set order (name :: Atomic.get order) in
+  let source name =
+    let pending, next = counting_source () in
+    let probes_after_unregister = Atomic.make 0 in
+    let unregistered = Atomic.make false in
+    let next () =
+      if Atomic.get unregistered then Atomic.incr probes_after_unregister;
+      if Atomic.get go then next () else None
+    in
+    let src = Scheduler.register pool ~next ~run:(fun _ -> record name) in
+    (src, pending, unregistered, probes_after_unregister)
+  in
+  let a, a_pending, a_unregistered, a_probes = source "a" in
+  let b, b_pending, _, _ = source "b" in
+  (* let the registration wake-ups settle so no probe sweep straddles
+     [go] *)
+  Unix.sleepf 0.05;
+  Atomic.set a_pending 4;
+  Atomic.set b_pending 4;
+  Atomic.set go true;
+  Scheduler.wake a;
+  await (fun () -> List.length (Atomic.get order) >= 8);
+  let served = List.rev (Atomic.get order) in
+  Alcotest.(check int) "every job ran" 8 (List.length served);
+  List.iteri
+    (fun i name ->
+      if i > 0 && name = List.nth served (i - 1) then
+        Alcotest.failf "claim %d repeated source %s: %s" i name
+          (String.concat "," served))
+    served;
+  Scheduler.unregister a;
+  Atomic.set a_unregistered true;
+  Atomic.set a_pending 5;
+  Atomic.set b_pending 2;
+  Scheduler.wake b;
+  Scheduler.wake a;
+  await (fun () -> List.length (Atomic.get order) >= 10);
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "b still served" 10 (List.length (Atomic.get order));
+  Alcotest.(check int) "a never probed after unregister" 0
+    (Atomic.get a_probes);
+  Alcotest.(check int) "a's work left unclaimed" 5 (Atomic.get a_pending);
+  Scheduler.unregister b
+
+(* A worker sweeps the source list it read when the sweep began, so a
+   source unregistered mid-sweep is still on that list: the sweep must
+   skip it. [b]'s [next], probed first in its sweep, unregisters [a],
+   which comes later in the same sweep. *)
+let scheduler_skips_source_unregistered_mid_sweep () =
+  let pool = Scheduler.create ~num_workers:1 ~tick_interval:3600.0 () in
+  let last = Atomic.make "" and a_src = Atomic.make None in
+  let a_gone = Atomic.make false and a_probed_after = Atomic.make 0 in
+  let b =
+    Scheduler.register pool ~run:ignore ~next:(fun () ->
+        (match Atomic.get a_src with
+        | Some a when (not (Atomic.get a_gone)) && Atomic.get last <> "a" ->
+            Scheduler.unregister a;
+            Atomic.set a_gone true
+        | _ -> ());
+        Atomic.set last "b";
+        None)
+  in
+  let a =
+    Scheduler.register pool ~run:ignore ~next:(fun () ->
+        if Atomic.get a_gone then Atomic.incr a_probed_after;
+        Atomic.set last "a";
+        None)
+  in
+  Atomic.set a_src (Some a);
+  await (fun () ->
+      Scheduler.wake b;
+      Atomic.get a_gone);
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "a was unregistered mid-sweep" true (Atomic.get a_gone);
+  Alcotest.(check int) "a never probed after unregister" 0
+    (Atomic.get a_probed_after);
+  Scheduler.unregister b
 
 (* ---------- Backpressure curve ---------- *)
 
@@ -223,7 +316,7 @@ let flush_without_poll_tick () =
       base with
       Options.memtable_bytes = 4 * 1024;
       cache_bytes = 1 lsl 20;
-      maintenance_tick = 30.0;
+      scheduler = Scheduler.create ~tick_interval:30.0 ();
       lsm =
         {
           base.Options.lsm with
@@ -263,6 +356,55 @@ let flush_without_poll_tick () =
       (* Data must remain readable across rotation + flush. *)
       Alcotest.(check (option string)) "read-back" (Some (String.make 64 'v'))
         (Db.get db "key-0199"))
+
+(* [compact_now] runs every compaction on its caller: a pool whose
+   workers look for work every half millisecond must claim none of the
+   many small merges a few bulk loads leave behind. *)
+let compact_now_keeps_its_compactions () =
+  let dir = fresh_dir () in
+  let base = Options.default ~dir in
+  let pool = Scheduler.create ~num_workers:2 ~tick_interval:0.0005 () in
+  let opts =
+    {
+      base with
+      Options.memtable_bytes = 4 lsl 20;
+      cache_bytes = 1 lsl 20;
+      scheduler = pool;
+      scrub_interval = 0.0;
+      lsm =
+        {
+          base.Options.lsm with
+          Clsm_lsm.Lsm_config.l0_compaction_trigger = 1;
+          level1_max_bytes = 32 * 1024;
+          target_file_size = 8 * 1024;
+          block_size = 1024;
+        };
+    }
+  in
+  let db = Db.open_store opts in
+  Fun.protect
+    ~finally:(fun () -> Db.close db)
+    (fun () ->
+      for round = 0 to 3 do
+        for i = 0 to 1999 do
+          Db.put db
+            ~key:(Printf.sprintf "key-%05d" ((i * 7919) mod 2000))
+            ~value:(Printf.sprintf "%d%s" round (String.make 100 'v'))
+        done;
+        let before = Scheduler.jobs_run pool in
+        Db.compact_now db;
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: no pool job during compact_now" round)
+          0
+          (Scheduler.jobs_run pool - before)
+      done;
+      let st = Db.stats db in
+      Alcotest.(check bool) "compactions ran" true
+        (Array.fold_left ( + ) 0 st.Stats.compactions_per_level >= 10);
+      Alcotest.(check (list string)) "healthy" [] (Db.verify_integrity db);
+      Alcotest.(check (option string)) "read-back"
+        (Some ("3" ^ String.make 100 'v'))
+        (Db.get db "key-01999"))
 
 (* End-to-end through the real store with [max_subcompactions = 4]: the
    L0→L1 merge must fan out (stats record the parallelism), and reads,
@@ -334,8 +476,7 @@ let stress_writers_readers_churn () =
       base with
       Options.memtable_bytes = 8 * 1024;
       cache_bytes = 1 lsl 20;
-      maintenance_workers = 2;
-      maintenance_tick = 0.05;
+      scheduler = Scheduler.create ~num_workers:2 ~tick_interval:0.05 ();
       lsm =
         {
           base.Options.lsm with
@@ -427,6 +568,167 @@ let stress_writers_readers_churn () =
         (Some (value 2 (per_writer - 1)))
         (Db.get db2 (key 2 (per_writer - 1))))
 
+(* ---------- Store-level: one pool for every store ---------- *)
+
+(* Every store registers with the process-wide pool, so the number of
+   open stores is not bounded by the runtime's domain limit: 64 stores
+   on [Options.default] each flush in the background, all on the
+   default pool's two workers. *)
+let many_stores_share_one_pool () =
+  let n = 64 in
+  let dirs = List.init n (fun _ -> fresh_dir ()) in
+  let open_one dir =
+    Db.open_store
+      { (Options.default ~dir) with Options.memtable_bytes = 4 * 1024 }
+  in
+  let opened = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun db -> try Db.close db with _ -> ()) !opened)
+    (fun () ->
+      List.iter (fun dir -> opened := open_one dir :: !opened) dirs;
+      let dbs = List.rev !opened in
+      Alcotest.(check int) "the default pool's two workers, no more" 2
+        (Scheduler.running_workers Scheduler.shared);
+      List.iter
+        (fun db ->
+          for i = 0 to 19 do
+            Db.put db
+              ~key:(Printf.sprintf "k%03d" i)
+              ~value:(String.make 300 'v')
+          done)
+        dbs;
+      await ~timeout:30.0 (fun () ->
+          List.for_all (fun db -> (Db.stats db).Stats.flushes >= 1) dbs);
+      List.iteri
+        (fun i db ->
+          Alcotest.(check bool)
+            (Printf.sprintf "store %d flushed in the background" i)
+            true
+            ((Db.stats db).Stats.flushes >= 1))
+        dbs;
+      List.iter Db.close dbs;
+      opened := [];
+      Alcotest.(check int) "no worker after the last close" 0
+        (Scheduler.running_workers Scheduler.shared));
+  List.iter
+    (fun dir ->
+      let db = open_one dir in
+      Fun.protect
+        ~finally:(fun () -> Db.close db)
+        (fun () ->
+          Alcotest.(check (option string))
+            "data survives" (Some (String.make 300 'v')) (Db.get db "k019")))
+    [ List.hd dirs; List.nth dirs (n - 1) ]
+
+(* An env whose table builds crawl while [slow] is set, and which counts
+   the table files being written: a compaction can be caught in flight. *)
+let slow_table_env ~slow ~open_tables =
+  let base = Clsm_env.Env.unix in
+  let create_writer path =
+    let w = base.Clsm_env.Env.create_writer path in
+    if not (Filename.check_suffix path ".sst.tmp") then w
+    else begin
+      Atomic.incr open_tables;
+      let crawl () = if Atomic.get slow then Unix.sleepf 0.02 in
+      {
+        Clsm_env.Env.w_append =
+          (fun s ->
+            crawl ();
+            w.Clsm_env.Env.w_append s);
+        w_fsync =
+          (fun () ->
+            crawl ();
+            w.Clsm_env.Env.w_fsync ());
+        w_close =
+          (fun () ->
+            w.Clsm_env.Env.w_close ();
+            Atomic.decr open_tables);
+      }
+    end
+  in
+  { base with Clsm_env.Env.create_writer }
+
+(* Closing store A while the shared pool runs A's compaction waits for
+   that job; store B, on the same pool, keeps being maintained. *)
+let close_waits_for_inflight_job () =
+  let pool = Scheduler.create ~num_workers:2 ~tick_interval:0.05 () in
+  let dir_a = fresh_dir () and dir_b = fresh_dir () in
+  let opts ?(env = Clsm_env.Env.unix) ?(memtable_bytes = 4 * 1024)
+      ?(l0_trigger = 100) dir =
+    let base = Options.default ~dir in
+    {
+      base with
+      Options.memtable_bytes;
+      env;
+      scheduler = pool;
+      scrub_interval = 0.0;
+      lsm =
+        {
+          base.Options.lsm with
+          Clsm_lsm.Lsm_config.l0_compaction_trigger = l0_trigger;
+          l0_slowdown_trigger = 200;
+          l0_stall_limit = 300;
+          block_size = 1024;
+        };
+    }
+  in
+  let value i = Printf.sprintf "%04d%s" i (String.make 1000 'a') in
+  (* Phase 1: at least two L0 files, with compaction held off. *)
+  let a = Db.open_store (opts dir_a) in
+  for i = 0 to 39 do
+    Db.put a ~key:(Printf.sprintf "a%04d" i) ~value:(value i);
+    if i mod 20 = 19 then Db.compact_now a
+  done;
+  (match Db.level_file_counts a with
+  | l0 :: deeper ->
+      Alcotest.(check bool) "L0 piled up, nothing deeper" true
+        (l0 >= 2 && List.for_all (( = ) 0) deeper)
+  | [] -> Alcotest.fail "no levels");
+  Db.close a;
+  let b = Db.open_store (opts dir_b) in
+  (* Phase 2: reopen A with the L0 trigger armed, so the pool claims an
+     L0->L1 compaction at once, and catch it mid-build. *)
+  let slow = Atomic.make true and open_tables = Atomic.make 0 in
+  let a =
+    Db.open_store
+      (opts
+         ~env:(slow_table_env ~slow ~open_tables)
+         ~memtable_bytes:(1 lsl 20) ~l0_trigger:2 dir_a)
+  in
+  await (fun () -> Atomic.get open_tables > 0);
+  Alcotest.(check bool) "compaction in flight" true (Atomic.get open_tables > 0);
+  Alcotest.(check int) "not finished yet" 0
+    (Array.fold_left ( + ) 0 (Db.stats a).Stats.compactions_per_level);
+  Db.close a;
+  Alcotest.(check int) "close returned after the job's table was written" 0
+    (Atomic.get open_tables);
+  Alcotest.(check int) "the compaction completed before close returned" 1
+    (Array.fold_left ( + ) 0 (Db.stats a).Stats.compactions_per_level);
+  (* B is still served by the same pool. *)
+  let flushed = (Db.stats b).Stats.flushes in
+  for i = 0 to 19 do
+    Db.put b ~key:(Printf.sprintf "b%04d" i) ~value:(value i)
+  done;
+  await (fun () -> (Db.stats b).Stats.flushes > flushed);
+  Alcotest.(check bool) "B keeps flushing" true
+    ((Db.stats b).Stats.flushes > flushed);
+  Alcotest.(check (list string)) "B healthy" [] (Db.verify_integrity b);
+  Db.close b;
+  List.iter
+    (fun (dir, key, i) ->
+      let db = Db.open_store (opts dir) in
+      Fun.protect
+        ~finally:(fun () -> Db.close db)
+        (fun () ->
+          Alcotest.(check (list string)) "healthy after reopen" []
+            (Db.verify_integrity db);
+          Alcotest.(check (option string)) "data survives" (Some (value i))
+            (Db.get db key)))
+    [ (dir_a, "a0039", 39); (dir_b, "b0019", 19) ];
+  Alcotest.(check int) "pool idle after the last close" 0
+    (Scheduler.running_workers pool)
+
 let suites =
   [
     ( "maintenance.wakeup",
@@ -443,6 +745,10 @@ let suites =
           scheduler_runs_on_wake_not_tick;
         Alcotest.test_case "stop joins despite long tick" `Quick
           scheduler_stop_joins_quickly;
+        Alcotest.test_case "round-robin; unregistered never claimed" `Quick
+          scheduler_round_robin_and_unregister;
+        Alcotest.test_case "unregister mid-sweep is honoured" `Quick
+          scheduler_skips_source_unregistered_mid_sweep;
       ] );
     ( "maintenance.backpressure",
       [ Alcotest.test_case "graduated delay curve" `Quick backpressure_curve ] );
@@ -460,5 +766,14 @@ let suites =
           parallel_subcompactions_e2e;
         Alcotest.test_case "writers/readers/churn stress" `Slow
           stress_writers_readers_churn;
+        Alcotest.test_case "compact_now keeps its compactions" `Quick
+          compact_now_keeps_its_compactions;
+      ] );
+    ( "maintenance.pool",
+      [
+        Alcotest.test_case "64 stores share the default pool" `Quick
+          many_stores_share_one_pool;
+        Alcotest.test_case "close waits for the in-flight job" `Quick
+          close_waits_for_inflight_job;
       ] );
   ]

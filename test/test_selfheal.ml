@@ -5,6 +5,7 @@
    multi-seed bit-rot campaign lives in test_torture.ml. *)
 
 open Clsm_core
+module Scheduler = Clsm_maintenance.Scheduler
 open Clsm_lsm
 open Clsm_env
 
@@ -37,8 +38,7 @@ let small_opts ?(env = Env.unix) dir =
     wal_sync = `Async;
     env;
     cache_bytes = 1 lsl 20;
-    maintenance_workers = 1;
-    maintenance_tick = 0.01;
+    scheduler = Scheduler.create ~num_workers:1 ~tick_interval:0.01 ();
     (* tests drive scrub/repair explicitly *)
     scrub_interval = 0.0;
     auto_repair = false;

@@ -9,6 +9,7 @@
      returns the same answer from both. *)
 
 open Clsm_core
+module Scheduler = Clsm_maintenance.Scheduler
 
 let fresh_dir =
   let counter = ref 0 in
@@ -24,7 +25,7 @@ let small_opts dir =
     base with
     Options.memtable_bytes = 8 * 1024;
     cache_bytes = 1 lsl 20;
-    maintenance_workers = 1;
+    scheduler = Scheduler.create ~num_workers:1 ();
     lsm =
       {
         base.Options.lsm with
@@ -338,6 +339,41 @@ let test_shared_clock_orders_cross_shard_writes () =
   Sharded_db.release_snapshot db s;
   Sharded_db.close db
 
+(* A write in flight on one shard holds every serializable snapshot
+   below its timestamp, yet does not stop another shard from flushing
+   newer versions. The flush may collapse versions no snapshot needs, so
+   a snapshot taken after it must not land below what it flushed: here
+   it would read "apple" at a timestamp whose versions are gone. *)
+let test_snapshot_after_flush_past_inflight_write () =
+  let dir = fresh_dir () in
+  let clock = Clock.create () in
+  let db =
+    Sharded_db.open_store
+      {
+        (sharded_opts ~bounds:[ "m" ] ~shards:2 dir) with
+        Options.clock = Some clock;
+        scheduler = Scheduler.create ~num_workers:0 ();
+      }
+  in
+  Sharded_db.put db ~key:"apple" ~value:"1";
+  (* a "zebra" writer that drew its timestamp and has not published yet *)
+  let _, active, put = Clock.get_put_ts clock in
+  Sharded_db.put db ~key:"apple" ~value:"2";
+  Sharded_db.put db ~key:"apple" ~value:"3";
+  Sharded_db.compact_now db;
+  let publish =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.05;
+        Clock.end_put clock ~active ~put)
+  in
+  let s = Sharded_db.get_snap db in
+  Domain.join publish;
+  Alcotest.(check (option string))
+    "snapshot reads a version the flush kept" (Some "3")
+    (Sharded_db.get_at db s "apple");
+  Sharded_db.release_snapshot db s;
+  Sharded_db.close db
+
 let test_shared_maintenance_flushes_all_shards () =
   let dir = fresh_dir () in
   let db =
@@ -400,6 +436,8 @@ let suites =
           test_layout_persists_across_reopen;
         Alcotest.test_case "one clock orders cross-shard writes" `Quick
           test_shared_clock_orders_cross_shard_writes;
+        Alcotest.test_case "snapshot after a flush past an in-flight write"
+          `Quick test_snapshot_after_flush_past_inflight_write;
         Alcotest.test_case "shared pool maintains every shard" `Quick
           test_shared_maintenance_flushes_all_shards;
         Alcotest.test_case "repair rebuilds shard subdirectories" `Quick

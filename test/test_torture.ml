@@ -18,6 +18,7 @@
    and the torn-tail slices all derive from it. *)
 
 open Clsm_core
+module Scheduler = Clsm_maintenance.Scheduler
 open Clsm_lsm
 open Clsm_env
 
@@ -47,8 +48,7 @@ let opts_for ~env dir =
     wal_enabled = true;
     memtable_bytes = 4 * 1024;
     cache_bytes = 1 lsl 18;
-    maintenance_workers = 1;
-    maintenance_tick = 0.005;
+    scheduler = Scheduler.create ~num_workers:1 ~tick_interval:0.005 ();
     lsm =
       {
         base.Options.lsm with
@@ -253,7 +253,7 @@ let sharded_opts_for ~env dir =
     shard_boundaries = Some shard_bounds;
     (* two pool workers so one shard's flush runs WHILE another shard
        compacts — the crash point can land in the middle of that *)
-    maintenance_workers = 2;
+    scheduler = Scheduler.create ~num_workers:2 ~tick_interval:0.005 ();
   }
 
 (* The single-store torture, re-run against the 3-shard router: the
