@@ -28,7 +28,7 @@ let add t ~user_key ~ts entry =
 
 let get t ~user_key ~snap_ts =
   match SL.find_le t.map (Internal_key.make user_key snap_ts) with
-  | Some (ik, entry) when String.equal (Internal_key.user_key_of ik) user_key ->
+  | Some (ik, entry) when Internal_key.compare_user_key ik user_key = 0 ->
       Some (Internal_key.ts_of ik, entry)
   | Some _ | None -> None
 
@@ -43,7 +43,7 @@ let locate_rmw t ~user_key =
   let loc = SL.Raw.locate t.map (Internal_key.probe user_key) in
   let prev_ts =
     match SL.Raw.prev_binding loc with
-    | Some (ik, _) when String.equal (Internal_key.user_key_of ik) user_key ->
+    | Some (ik, _) when Internal_key.compare_user_key ik user_key = 0 ->
         Some (Internal_key.ts_of ik)
     | Some _ | None -> None
   in

@@ -368,7 +368,7 @@ module Make (M : Memtable_intf.S) : Store_sig.EXTENDED = struct
       let rec consume () =
         if merged.Iter.valid () then begin
           let ik = merged.Iter.key () in
-          if String.equal (Internal_key.user_key_of ik) uk then begin
+          if Internal_key.compare_user_key ik uk = 0 then begin
             if Internal_key.ts_of ik <= snap_ts then
               best := Some (merged.Iter.value ());
             merged.Iter.next ();

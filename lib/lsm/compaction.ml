@@ -206,7 +206,7 @@ let write_sorted_run ~cfg ~dir ?cache ?(env = Clsm_env.Env.unix) ~alloc_number
         if not (iter.Iter.valid ()) then List.rev acc
         else
           let ik = iter.Iter.key () in
-          if not (String.equal (Internal_key.user_key_of ik) user_key) then
+          if Internal_key.compare_user_key ik user_key <> 0 then
             List.rev acc
           else begin
             let v = iter.Iter.value () in

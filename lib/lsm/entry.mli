@@ -8,6 +8,10 @@ val encode : t -> string
 val decode : string -> t
 (** Raises [Invalid_argument] on an unknown tag. *)
 
+val decode_sub : string -> pos:int -> len:int -> t
+(** [decode_sub s ~pos ~len = decode (String.sub s pos len)], copying the
+    value bytes once. *)
+
 val is_tombstone : t -> bool
 
 val to_option : t -> string option

@@ -22,7 +22,7 @@ val decode : string -> t
 (** Raises [Invalid_argument] if the input is shorter than {!ts_size}. *)
 
 val make : string -> int -> string
-(** [make k ts] = [encode { user_key = k; ts }]. *)
+(** [make k ts] = [encode { user_key = k; ts }], built in one allocation. *)
 
 val probe : string -> string
 (** [probe k] = [make k max_ts] — the Algorithm 3 / get upper bound. *)
@@ -33,7 +33,18 @@ val user_key_of : string -> string
 val ts_of : string -> int
 
 val compare : t -> t -> int
+
 val compare_encoded : string -> string -> int
+(** Order of encoded keys, [-1], [0] or [1]. Allocation-free. Raises
+    [Invalid_argument] if either key is shorter than {!ts_size}. *)
+
+val compare_sub : string -> pos:int -> len:int -> string -> int
+(** [compare_sub a ~pos ~len b = compare_encoded (String.sub a pos len) b],
+    without the substring. *)
+
+val compare_user_key : string -> string -> int
+(** [compare_user_key ik k = String.compare (user_key_of ik) k], without
+    the substring: the read path's user-key equality and range checks. *)
 
 val comparator : Clsm_sstable.Comparator.t
 (** {!compare_encoded} packaged for blocks and tables. *)

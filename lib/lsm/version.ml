@@ -43,8 +43,10 @@ let total_bytes t =
 let user_range_contains tf user_key =
   let open Table_file in
   tf.smallest <> ""
-  && String.compare (Internal_key.user_key_of tf.smallest) user_key <= 0
-  && String.compare user_key (Internal_key.user_key_of tf.largest) <= 0
+  && Internal_key.compare_user_key tf.smallest user_key <= 0
+  && Internal_key.compare_user_key tf.largest user_key >= 0
+
+let version_of_binding ik data ~pos ~len = (ik, Entry.decode_sub data ~pos ~len)
 
 (* Newest entry for [user_key] with ts <= probe's ts inside one file.
    Raises {!Table_file.Corruption} on a checksum/decode failure. *)
@@ -56,10 +58,10 @@ let search_file file ~user_key ~probe =
   else
     match
       Table_file.with_table tf (fun table ->
-          Clsm_sstable.Table.find_last_le table probe)
+          Clsm_sstable.Table.find_last_le_with table probe version_of_binding)
     with
-    | Some (ik, v) when String.equal (Internal_key.user_key_of ik) user_key ->
-        Some (Internal_key.ts_of ik, Entry.decode v)
+    | Some (ik, entry) when Internal_key.compare_user_key ik user_key = 0 ->
+        Some (Internal_key.ts_of ik, entry)
     | Some _ | None -> None
 
 let get ?on_corrupt t ~user_key ~snap_ts =
@@ -95,23 +97,22 @@ let get ?on_corrupt t ~user_key ~snap_ts =
   | None ->
       (* Deeper levels are disjoint, but versions of one user key can
          straddle two adjacent files; the later file holds the newer
-         versions, so candidates are scanned newest-range-first. *)
+         versions, so a level's files are searched last-first (each
+         skipped unless its range holds the key) without building a
+         candidate list. *)
+      let rec newest_first = function
+        | [] -> None
+        | f :: rest -> (
+            match newest_first rest with
+            | Some _ as hit -> hit
+            | None -> search_file f ~user_key ~probe)
+      in
       let rec search_levels i =
         if i >= Array.length t.levels then None
         else
-          let candidates =
-            List.filter
-              (fun f -> user_range_contains (Refcounted.value f) user_key)
-              t.levels.(i)
-          in
-          let rec try_files = function
-            | [] -> search_levels (i + 1)
-            | f :: rest -> (
-                match search_file f ~user_key ~probe with
-                | Some _ as hit -> hit
-                | None -> try_files rest)
-          in
-          try_files (List.rev candidates)
+          match newest_first t.levels.(i) with
+          | Some _ as hit -> hit
+          | None -> search_levels (i + 1)
       in
       search_levels 0
 

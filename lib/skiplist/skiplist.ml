@@ -63,14 +63,15 @@ module Make (Key : ORDERED) = struct
     }
 
   (* Geometric tower height with branching factor 4 (LevelDB's choice). *)
+  let rec tower_height max_height h r =
+    if h >= max_height || r land 3 <> 0 then h
+    else tower_height max_height (h + 1) (r lsr 2)
+
   let random_height t =
     let r =
       Clsm_util.Hashing.mix64 (Atomic.fetch_and_add t.rand 0x3504f333f9de642)
     in
-    let rec go h r =
-      if h >= t.max_height || r land 3 <> 0 then h else go (h + 1) (r lsr 2)
-    in
-    go 1 (r lsr 3)
+    tower_height t.max_height 1 (r lsr 3)
 
   let rec bump_height t h =
     let cur = Atomic.get t.height in
@@ -78,102 +79,97 @@ module Make (Key : ORDERED) = struct
     else if Atomic.compare_and_set t.height cur h then ()
     else bump_height t h
 
-  (* Walk one level. [cell] is the link field of [pred] at [level] (or the
-     head link). Returns the last (pred, cell) with pred.key < key and the
-     successor value stopped at. *)
-  let rec walk_level key level pred cell =
-    match Atomic.get cell with
-    | Nil -> (pred, cell, Nil)
-    | Next n as s ->
-        if Key.compare n.key key < 0 then
-          walk_level key level (Some n) n.next.(level)
-        else (pred, cell, s)
+  (* Searches name a predecessor by the [Next n] value read from the link
+     that led to it, [Nil] standing for the head, so walking a level
+     allocates nothing: no [Some n] per step and no tuple per level. *)
+  let links t = function Nil -> t.head | Next n -> n.next
 
-  let cell_of t level pred =
-    match pred with None -> t.head.(level) | Some n -> n.next.(level)
+  (* Descend from [level] to [stop], returning the last node at level
+     [stop] whose key is < [key]. *)
+  let rec pred_at t key pred level stop =
+    match Atomic.get (links t pred).(level) with
+    | Next n as s when Key.compare n.key key < 0 -> pred_at t key s level stop
+    | Nil | Next _ ->
+        if level = stop then pred else pred_at t key pred (level - 1) stop
 
-  (* Descend from the top, returning the bottom-level (pred, cell, succ). *)
-  let locate_bottom t key =
+  (* The last node < [key] at [level + 1], found from the top; the head if
+     [level] is the top. Callers finish with their own walk of [level], so
+     the link they act on is read once, by them. *)
+  let pred_above t key level =
     let top = Atomic.get t.height - 1 in
-    let rec go level pred =
-      let pred', cell, succ = walk_level key level pred (cell_of t level pred) in
-      if level = 0 then (pred', cell, succ) else go (level - 1) pred'
-    in
-    go top None
+    if top <= level then Nil else pred_at t key Nil top (level + 1)
 
-  (* Descend from the top but stop at [level], for relinking upper levels
-     after a CAS failure. *)
-  let locate_at_level t key level =
-    let top = max (Atomic.get t.height - 1) level in
-    let rec go l pred =
-      let pred', cell, succ = walk_level key l pred (cell_of t l pred) in
-      if l = level then (cell, succ) else go (l - 1) pred'
-    in
-    go top None
-
-  (* Link [node] at levels 1..h-1. Each level is published with a CAS; on
-     failure the level is re-located and retried. Correctness only needs the
-     bottom level, which is already linked. *)
-  let link_upper t node h =
-    for level = 1 to h - 1 do
-      let rec link () =
-        let cell, succ = locate_at_level t node.key level in
+  (* Link [node] (published as [link]) at levels 1..h-1. Each level is
+     published with a CAS; on failure the level is walked again from the
+     same predecessor, which stays in the list forever. Correctness only
+     needs the bottom level, which is already linked. *)
+  let rec link_level t node link level pred =
+    let cell = (links t pred).(level) in
+    match Atomic.get cell with
+    | Next n as s when Key.compare n.key node.key < 0 ->
+        link_level t node link level s
+    | succ ->
         Atomic.set node.next.(level) succ;
-        if not (Atomic.compare_and_set cell succ (Next node)) then link ()
-      in
-      link ()
+        if not (Atomic.compare_and_set cell succ link) then
+          link_level t node link level pred
+
+  let link_upper t node link =
+    for level = 1 to Array.length node.next - 1 do
+      link_level t node link level (pred_above t node.key level)
     done
+
+  (* Bottom-level insertion of [node] after [pred]: the one CAS that makes
+     it visible. A failed CAS re-walks from [pred]. *)
+  let rec insert_from t node link pred =
+    let cell = (links t pred).(0) in
+    let succ = Atomic.get cell in
+    let c = match succ with Next n -> Key.compare n.key node.key | Nil -> 1 in
+    if c < 0 then insert_from t node link succ
+    else if c = 0 then false (* duplicate *)
+    else begin
+      Atomic.set node.next.(0) succ;
+      if Atomic.compare_and_set cell succ link then begin
+        link_upper t node link;
+        true
+      end
+      else insert_from t node link pred
+    end
 
   let insert t key value =
     let h = random_height t in
     bump_height t h;
-    let rec attempt () =
-      let preds = Array.make h None in
-      let cells = Array.make h t.head.(0) in
-      let succs = Array.make h Nil in
-      let top = max (Atomic.get t.height - 1) (h - 1) in
-      let rec descend level pred =
-        let pred', cell, succ =
-          walk_level key level pred (cell_of t level pred)
-        in
-        if level < h then begin
-          preds.(level) <- pred';
-          cells.(level) <- cell;
-          succs.(level) <- succ
-        end;
-        if level = 0 then (cell, succ) else descend (level - 1) pred'
-      in
-      let bottom_cell, bottom_succ = descend top None in
-      match bottom_succ with
-      | Next n when Key.compare n.key key = 0 -> false (* duplicate *)
-      | _ ->
-          let node =
-            { key; value; next = Array.init h (fun l -> Atomic.make succs.(l)) }
-          in
-          if Atomic.compare_and_set bottom_cell bottom_succ (Next node) then begin
-            link_upper t node h;
-            true
-          end
-          else attempt ()
-    in
-    attempt ()
+    (* Upper links are set just before each level's CAS publishes them. *)
+    let node = { key; value; next = Array.init h (fun _ -> Atomic.make Nil) } in
+    insert_from t node (Next node) (pred_above t key 0)
+
+  (* Bottom-level walks from [pred]: the first node >= key, and the
+     greatest node <= key. *)
+  let rec ge_from t key pred =
+    match Atomic.get (links t pred).(0) with
+    | Next n as s when Key.compare n.key key < 0 -> ge_from t key s
+    | succ -> succ
+
+  let rec le_from t key pred =
+    match Atomic.get (links t pred).(0) with
+    | Next n as s ->
+        let c = Key.compare n.key key in
+        if c < 0 then le_from t key s else if c = 0 then s else pred
+    | Nil -> pred
 
   let find t key =
-    let _, _, succ = locate_bottom t key in
-    match succ with
+    match le_from t key (pred_above t key 0) with
     | Next n when Key.compare n.key key = 0 -> Some n.value
     | Next _ | Nil -> None
 
   let find_le t key =
-    let pred, _, succ = locate_bottom t key in
-    match succ with
-    | Next n when Key.compare n.key key = 0 -> Some (n.key, n.value)
-    | Next _ | Nil -> (
-        match pred with None -> None | Some p -> Some (p.key, p.value))
+    match le_from t key (pred_above t key 0) with
+    | Next n -> Some (n.key, n.value)
+    | Nil -> None
 
   let find_ge t key =
-    let _, _, succ = locate_bottom t key in
-    match succ with Next n -> Some (n.key, n.value) | Nil -> None
+    match ge_from t key (pred_above t key 0) with
+    | Next n -> Some (n.key, n.value)
+    | Nil -> None
 
   let is_empty t = Atomic.get t.head.(0) = Nil
 
@@ -190,63 +186,56 @@ module Make (Key : ORDERED) = struct
   let to_list t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
 
   module Cursor = struct
-    type 'v pos = Unpositioned | At of 'v node | Exhausted
-    type 'v cursor = { sl : 'v t; mutable pos : 'v pos }
+    (* [Nil] both before the first seek and after the last binding. *)
+    type 'v cursor = { sl : 'v t; mutable pos : 'v succ }
 
-    let make sl = { sl; pos = Unpositioned }
-
-    let of_succ = function Nil -> Exhausted | Next n -> At n
-
-    let seek_first c = c.pos <- of_succ (Atomic.get c.sl.head.(0))
-
-    let seek c key =
-      let _, _, succ = locate_bottom c.sl key in
-      c.pos <- of_succ succ
-
-    let valid c = match c.pos with At _ -> true | Unpositioned | Exhausted -> false
+    let make sl = { sl; pos = Nil }
+    let seek_first c = c.pos <- Atomic.get c.sl.head.(0)
+    let seek c key = c.pos <- ge_from c.sl key (pred_above c.sl key 0)
+    let valid c = match c.pos with Next _ -> true | Nil -> false
 
     let current c =
-      match c.pos with
-      | At n -> Some (n.key, n.value)
-      | Unpositioned | Exhausted -> None
+      match c.pos with Next n -> Some (n.key, n.value) | Nil -> None
 
     let next c =
-      match c.pos with
-      | At n -> c.pos <- of_succ (Atomic.get n.next.(0))
-      | Unpositioned | Exhausted -> ()
+      match c.pos with Next n -> c.pos <- Atomic.get n.next.(0) | Nil -> ()
   end
 
   module Raw = struct
     type 'v location = {
-      loc_prev : 'v node option;
+      loc_prev : 'v succ; (* [Nil]: the head *)
       loc_cell : 'v succ Atomic.t;
       loc_succ : 'v succ;
     }
 
     (* The predecessor is the greatest node <= key (Algorithm 3 line 5
        locates max (k', ts') <= (k, inf)), so an exact match becomes the
-       predecessor rather than the successor. *)
-    let locate t key =
-      let pred, cell, succ = locate_bottom t key in
-      match succ with
-      | Next n when Key.compare n.key key = 0 ->
-          {
-            loc_prev = Some n;
-            loc_cell = n.next.(0);
-            loc_succ = Atomic.get n.next.(0);
-          }
-      | Next _ | Nil -> { loc_prev = pred; loc_cell = cell; loc_succ = succ }
+       predecessor rather than the successor. The walk allocates only the
+       result. *)
+    let rec locate_from t key pred =
+      let cell = (links t pred).(0) in
+      match Atomic.get cell with
+      | Next n as s ->
+          let c = Key.compare n.key key in
+          if c < 0 then locate_from t key s
+          else if c = 0 then
+            let cell = n.next.(0) in
+            { loc_prev = s; loc_cell = cell; loc_succ = Atomic.get cell }
+          else { loc_prev = pred; loc_cell = cell; loc_succ = s }
+      | Nil -> { loc_prev = pred; loc_cell = cell; loc_succ = Nil }
+
+    let locate t key = locate_from t key (pred_above t key 0)
 
     let prev_binding loc =
-      match loc.loc_prev with None -> None | Some n -> Some (n.key, n.value)
+      match loc.loc_prev with Nil -> None | Next n -> Some (n.key, n.value)
 
     let succ_binding loc =
       match loc.loc_succ with Nil -> None | Next n -> Some (n.key, n.value)
 
     let try_insert t loc key value =
       (match loc.loc_prev with
-      | Some p -> assert (Key.compare p.key key < 0)
-      | None -> ());
+      | Next p -> assert (Key.compare p.key key < 0)
+      | Nil -> ());
       (match loc.loc_succ with
       | Next n -> assert (Key.compare n.key key > 0)
       | Nil -> ());
@@ -255,8 +244,9 @@ module Make (Key : ORDERED) = struct
       let node =
         { key; value; next = Array.init h (fun _ -> Atomic.make loc.loc_succ) }
       in
-      if Atomic.compare_and_set loc.loc_cell loc.loc_succ (Next node) then begin
-        link_upper t node h;
+      let link = Next node in
+      if Atomic.compare_and_set loc.loc_cell loc.loc_succ link then begin
+        link_upper t node link;
         true
       end
       else false

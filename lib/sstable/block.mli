@@ -1,17 +1,26 @@
 (** Reader for blocks produced by {!Block_builder}: in-memory parse plus a
     seekable iterator that binary-searches the restart array and then scans
-    forward, reconstructing prefix-compressed keys. *)
+    forward, reconstructing prefix-compressed keys in a per-iterator buffer.
+    Seeks compare stored keys against the target in place
+    ({!Comparator.t.compare_sub}) and allocate nothing; a key string is
+    built only when {!Iter.key} is called. *)
 
 exception Corrupt of string
+(** Raised by {!parse} and by every iterator operation that meets a
+    malformed trailer, entry or varint. *)
 
 type t
 
-val parse : Comparator.t -> string -> t
-(** Validate the trailer and wrap the serialized block.
+val parse : ?len:int -> Comparator.t -> string -> t
+(** Validate the trailer and wrap the serialized block: the first [len]
+    bytes of the string (default all of it), so a block can be parsed in
+    place inside a larger on-disk image without copying.
     Raises {!Corrupt} if the restart array is malformed. *)
 
 val num_restarts : t -> int
+
 val size_bytes : t -> int
+(** Length of the block itself ([len] at {!parse}). *)
 
 module Iter : sig
   type iter
@@ -38,6 +47,17 @@ module Iter : sig
   (** Raises [Invalid_argument] if not {!valid}. *)
 
   val value : iter -> string
+
+  val with_value : iter -> (string -> pos:int -> len:int -> 'a) -> 'a
+  (** [with_value it f] applies [f] to the bytes of the current value in
+      place (the block's backing string, offset and length), so a caller
+      that decodes the value copies it once. Raises [Invalid_argument] if
+      not {!valid}. *)
+
+  val with_entry : iter -> (string -> string -> pos:int -> len:int -> 'a) -> 'a
+  (** [with_entry it f = f (key it) data ~pos ~len], the value passed in
+      place as by {!with_value}. *)
+
   val next : iter -> unit
 
   val fold : (string -> string -> 'acc -> 'acc) -> t -> 'acc -> 'acc

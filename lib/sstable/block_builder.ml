@@ -22,8 +22,11 @@ let create ?(restart_interval = 16) () =
 
 let shared_prefix_length a b =
   let n = min (String.length a) (String.length b) in
-  let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-  go 0
+  let i = ref 0 in
+  while !i < n && Char.equal a.[!i] b.[!i] do
+    incr i
+  done;
+  !i
 
 let add t ~key ~value =
   let shared =

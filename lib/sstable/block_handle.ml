@@ -11,4 +11,10 @@ let decode s ~pos =
   let size, pos = Varint.read s ~pos in
   ({ offset; size }, pos)
 
+let decode_sub s ~pos ~len =
+  let cursor = ref pos in
+  let offset = Varint.read_at s ~limit:(pos + len) cursor in
+  let size = Varint.read_at s ~limit:(pos + len) cursor in
+  { offset; size }
+
 let max_encoded_length = 2 * Varint.max_length

@@ -25,22 +25,22 @@ let create ?(bits_per_key = 10) keys =
   List.iter add keys;
   { bits; k }
 
+(* One loop over local refs (kept unboxed): no closure per probe. *)
 let mem t key =
   let nbits = Bytes.length t.bits * 8 in
   let h = ref (bloom_hash key) in
   let delta = ((!h lsr 17) lor (!h lsl 15)) land 0xffffffff in
-  let rec probe remaining =
-    if remaining = 0 then true
-    else
-      let bit = !h mod nbits in
-      let byte = Char.code (Bytes.get t.bits (bit / 8)) in
-      if byte land (1 lsl (bit mod 8)) = 0 then false
-      else begin
-        h := (!h + delta) land 0xffffffff;
-        probe (remaining - 1)
-      end
-  in
-  probe t.k
+  let present = ref true and remaining = ref t.k in
+  while !present && !remaining > 0 do
+    let bit = !h mod nbits in
+    let byte = Char.code (Bytes.get t.bits (bit / 8)) in
+    if byte land (1 lsl (bit mod 8)) = 0 then present := false
+    else begin
+      h := (!h + delta) land 0xffffffff;
+      decr remaining
+    end
+  done;
+  !present
 
 let encode t = Bytes.to_string t.bits ^ String.make 1 (Char.chr t.k)
 

@@ -24,39 +24,59 @@ type t = {
   aux_reservation : string option;
 }
 
-(* Decode one block image ([payload ^ trailer] as laid out on disk),
-   verifying the CRC trailer. Corrupt messages carry the block's byte
-   offset so containment/quarantine can report exactly which block
-   rotted. *)
-let decode_block_image ~offset raw =
-  let corrupt what =
-    raise (Corrupt (Printf.sprintf "block@%d: %s" offset what))
-  in
+let corrupt_block ~offset what =
+  raise (Corrupt (Printf.sprintf "block@%d: %s" offset what))
+
+(* Verify one block image ([payload ^ trailer] as laid out on disk) in
+   place and return its payload length. The CRC covers the payload and the
+   type byte, which sit together at the head of the image. Corrupt
+   messages carry the block's byte offset so containment/quarantine can
+   report exactly which block rotted. *)
+let check_block_image ~offset raw =
   let size = String.length raw - Table_format.block_trailer_length in
-  if size < 0 then corrupt "handle out of bounds";
-  let payload = String.sub raw 0 size in
-  let block_type = raw.[size] in
+  if size < 0 then corrupt_block ~offset "handle out of bounds";
   let stored = Crc32c.unmask (Binary.get_fixed32 raw ~pos:(size + 1)) in
-  let actual = Crc32c.sub ~init:(Crc32c.string payload) raw ~pos:size ~len:1 in
-  if stored <> actual then corrupt "checksum mismatch";
-  match block_type with
-  | '\000' -> payload
-  | '\001' -> (
-      try Simple_compress.decompress payload
-      with Invalid_argument m -> corrupt m)
-  | _ -> corrupt "unknown block type"
+  if stored <> Crc32c.sub raw ~pos:0 ~len:(size + 1) then
+    corrupt_block ~offset "checksum mismatch";
+  (match raw.[size] with
+  | '\000' | '\001' -> ()
+  | _ -> corrupt_block ~offset "unknown block type");
+  size
+
+let decompress ~offset raw size =
+  try Simple_compress.decompress (String.sub raw 0 size)
+  with Invalid_argument m -> corrupt_block ~offset m
+
+(* The verified payload as a string of its own (filter and properties
+   blocks, decoded once at open). *)
+let decode_block_image ~offset raw =
+  let size = check_block_image ~offset raw in
+  if raw.[size] = '\000' then String.sub raw 0 size
+  else decompress ~offset raw size
+
+(* The verified payload parsed as a block. An uncompressed block is parsed
+   in place over the image: one copy out of the file in all. *)
+let parse_block_image cmp ~offset raw =
+  let size = check_block_image ~offset raw in
+  try
+    if raw.[size] = '\000' then Block.parse ~len:size cmp raw
+    else Block.parse cmp (decompress ~offset raw size)
+  with Block.Corrupt m -> raise (Corrupt m)
+
+let read_block_image (file : Env.random_file) handle =
+  let { Block_handle.offset; size } = handle in
+  try
+    file.Env.rf_read ~pos:offset ~len:(size + Table_format.block_trailer_length)
+  with Invalid_argument _ -> corrupt_block ~offset "handle out of bounds"
 
 (* Read a block payload at [handle], verifying the CRC trailer. *)
-let read_block_raw (file : Env.random_file) handle =
-  let { Block_handle.offset; size } = handle in
-  let raw =
-    try
-      file.Env.rf_read ~pos:offset
-        ~len:(size + Table_format.block_trailer_length)
-    with Invalid_argument _ ->
-      raise (Corrupt (Printf.sprintf "block@%d: handle out of bounds" offset))
-  in
-  decode_block_image ~offset raw
+let read_block_raw file handle =
+  decode_block_image ~offset:handle.Block_handle.offset
+    (read_block_image file handle)
+
+let read_block file cmp handle =
+  parse_block_image cmp ~offset:handle.Block_handle.offset
+    (read_block_image file handle)
 
 let open_file ?cache ?(env = Env.unix) ~cmp path =
   let file = env.Env.open_random path in
@@ -71,10 +91,7 @@ let open_file ?cache ?(env = Env.unix) ~cmp path =
     try Table_format.decode_footer footer_str
     with Failure m -> raise (Corrupt m)
   in
-  let index =
-    try Block.parse cmp (read_block_raw file footer.Table_format.index_handle)
-    with Block.Corrupt m -> raise (Corrupt m)
-  in
+  let index = read_block file cmp footer.Table_format.index_handle in
   let filter =
     try Bloom.decode (read_block_raw file footer.Table_format.filter_handle)
     with Invalid_argument m -> raise (Corrupt m)
@@ -136,19 +153,21 @@ let file_size t = t.file.Env.rf_length
 let may_contain t filter_key = Bloom.mem t.filter filter_key
 
 let load_block t handle =
-  let decode () =
-    try Block.parse t.cmp (read_block_raw t.file handle)
-    with Block.Corrupt m -> raise (Corrupt m)
-  in
+  let decode () = read_block t.file t.cmp handle in
   match t.cache with
   | None -> decode ()
   | Some cache ->
       let key = t.key_prefix ^ string_of_int handle.Block_handle.offset in
       Cache.find_or_add cache key decode
 
-let handle_of_index_value v =
-  let handle, _ = Block_handle.decode v ~pos:0 in
-  handle
+(* A block that passed its checksum can still hold a malformed entry or
+   index value. Lookups and iteration report that as the table's
+   corruption, which callers know how to contain (quarantine). *)
+let handle_at data ~pos ~len =
+  try Block_handle.decode_sub data ~pos ~len
+  with Varint.Corrupt m -> raise (Corrupt ("index block: " ^ m))
+
+let index_handle index_it = Block.Iter.with_value index_it handle_at
 
 module Iter = struct
   type iter = {
@@ -191,7 +210,7 @@ module Iter = struct
     Block.Iter.next probe;
     let continue = ref true in
     while !continue && !n < k && Block.Iter.valid probe do
-      let h = handle_of_index_value (Block.Iter.value probe) in
+      let h = index_handle probe in
       if h.Block_handle.offset = !run_end then begin
         run := h :: !run;
         run_end := block_end h;
@@ -216,10 +235,8 @@ module Iter = struct
               (h.Block_handle.offset - base)
               (h.Block_handle.size + Table_format.block_trailer_length)
           in
-          let payload =
-            decode_block_image ~offset:h.Block_handle.offset image
-          in
-          Cache.insert cache (key_of h) (Block.parse t.cmp payload))
+          Cache.insert cache (key_of h)
+            (parse_block_image t.cmp ~offset:h.Block_handle.offset image))
         missing;
       Cache.note_readahead cache ~blocks:(List.length missing)
     end
@@ -231,14 +248,14 @@ module Iter = struct
         let k = Cache.readahead_blocks cache in
         if k > 0 && it.seq_blocks >= 1 && Block.Iter.valid it.index_iter
         then begin
-          let cur = handle_of_index_value (Block.Iter.value it.index_iter) in
+          let cur = index_handle it.index_iter in
           if cur.Block_handle.offset >= it.ra_until then
             try readahead_batch it cache k cur with _ -> ()
         end
 
   let load_data_block it =
     if Block.Iter.valid it.index_iter then begin
-      let handle = handle_of_index_value (Block.Iter.value it.index_iter) in
+      let handle = index_handle it.index_iter in
       it.data_iter <- Some (Block.Iter.make (load_block it.table handle))
     end
     else it.data_iter <- None
@@ -262,24 +279,28 @@ module Iter = struct
         else it.data_iter <- None
 
   let seek_to_first it =
-    it.seq_blocks <- 0;
-    Block.Iter.seek_to_first it.index_iter;
-    load_data_block it;
-    (match it.data_iter with
-    | Some di -> Block.Iter.seek_to_first di
-    | None -> ());
-    skip_exhausted it
+    try
+      it.seq_blocks <- 0;
+      Block.Iter.seek_to_first it.index_iter;
+      load_data_block it;
+      (match it.data_iter with
+      | Some di -> Block.Iter.seek_to_first di
+      | None -> ());
+      skip_exhausted it
+    with Block.Corrupt m -> raise (Corrupt m)
 
   let seek it target =
     (* Index keys are the last key of each block, so the first index entry
        >= target points at the only block that can contain it. *)
-    it.seq_blocks <- 0;
-    Block.Iter.seek it.index_iter target;
-    load_data_block it;
-    (match it.data_iter with
-    | Some di -> Block.Iter.seek di target
-    | None -> ());
-    skip_exhausted it
+    try
+      it.seq_blocks <- 0;
+      Block.Iter.seek it.index_iter target;
+      load_data_block it;
+      (match it.data_iter with
+      | Some di -> Block.Iter.seek di target
+      | None -> ());
+      skip_exhausted it
+    with Block.Corrupt m -> raise (Corrupt m)
 
   let valid it =
     match it.data_iter with Some di -> Block.Iter.valid di | None -> false
@@ -296,64 +317,92 @@ module Iter = struct
 
   let next it =
     match it.data_iter with
-    | Some di ->
-        Block.Iter.next di;
-        skip_exhausted it
+    | Some di -> (
+        try
+          Block.Iter.next di;
+          skip_exhausted it
+        with Block.Corrupt m -> raise (Corrupt m))
     | None -> ()
 end
 
-let index_anchors t =
+(* Fold over the in-memory index: [f last_key handle acc] per data block. *)
+let fold_index f t acc =
   let it = Block.Iter.make t.index in
-  Block.Iter.seek_to_first it;
   let rec go acc =
     if Block.Iter.valid it then begin
-      let k = Block.Iter.key it in
-      let h = handle_of_index_value (Block.Iter.value it) in
+      let acc = f (Block.Iter.key it) (index_handle it) acc in
       Block.Iter.next it;
-      go ((k, h.Block_handle.size) :: acc)
+      go acc
     end
-    else List.rev acc
+    else acc
   in
-  go []
+  try
+    Block.Iter.seek_to_first it;
+    go acc
+  with Block.Corrupt m -> raise (Corrupt m)
+
+let index_anchors t =
+  List.rev (fold_index (fun k h acc -> (k, h.Block_handle.size) :: acc) t [])
+
+let pair_of_entry key data ~pos ~len = (key, String.sub data pos len)
+
+let entry_of di f =
+  if Block.Iter.valid di then Some (Block.Iter.with_entry di f) else None
+
+(* The entries >= probe of the indexed block, else the first entry of a
+   later block: what [Iter.seek] lands on, without building the
+   two-level iterator. *)
+let rec first_ge_from t index_it probe =
+  if not (Block.Iter.valid index_it) then None
+  else begin
+    let di = Block.Iter.make (load_block t (index_handle index_it)) in
+    Block.Iter.seek di probe;
+    if Block.Iter.valid di then entry_of di pair_of_entry
+    else begin
+      Block.Iter.next index_it;
+      first_ge_from t index_it probe
+    end
+  end
 
 let find_first_ge t probe =
-  let it = Iter.make t in
-  Iter.seek it probe;
-  if Iter.valid it then Some (Iter.key it, Iter.value it) else None
-
-let find_last_le t probe =
   let index_it = Block.Iter.make t.index in
-  let last_entry_of handle =
-    let di = Block.Iter.make (load_block t handle) in
-    Block.Iter.seek_last di;
-    if Block.Iter.valid di then Some (Block.Iter.key di, Block.Iter.value di)
-    else None
-  in
-  (* The first block whose last key >= probe is the only one that can hold
-     entries in (prev_block.last, probe]; if it holds nothing <= probe, the
-     answer is the last entry of the latest block entirely <= probe. *)
-  Block.Iter.seek index_it probe;
-  if Block.Iter.valid index_it then begin
-    let handle = handle_of_index_value (Block.Iter.value index_it) in
-    let di = Block.Iter.make (load_block t handle) in
-    Block.Iter.seek_le di probe;
-    if Block.Iter.valid di then Some (Block.Iter.key di, Block.Iter.value di)
-    else begin
-      (* Every entry of that block is > probe: fall back to the preceding
-         block, i.e. the greatest index key <= probe. *)
-      Block.Iter.seek_le index_it probe;
-      if Block.Iter.valid index_it then
-        last_entry_of (handle_of_index_value (Block.Iter.value index_it))
-      else None
+  try
+    Block.Iter.seek index_it probe;
+    first_ge_from t index_it probe
+  with Block.Corrupt m -> raise (Corrupt m)
+
+let last_entry_of t index_it f =
+  let di = Block.Iter.make (load_block t (index_handle index_it)) in
+  Block.Iter.seek_last di;
+  entry_of di f
+
+let find_last_le_with t probe f =
+  let index_it = Block.Iter.make t.index in
+  try
+    (* The first block whose last key >= probe is the only one that can
+       hold entries in (prev_block.last, probe]; if it holds nothing <=
+       probe, the answer is the last entry of the latest block entirely
+       <= probe. *)
+    Block.Iter.seek index_it probe;
+    if Block.Iter.valid index_it then begin
+      let di = Block.Iter.make (load_block t (index_handle index_it)) in
+      Block.Iter.seek_le di probe;
+      if Block.Iter.valid di then entry_of di f
+      else begin
+        (* Every entry of that block is > probe: fall back to the preceding
+           block, i.e. the greatest index key <= probe. *)
+        Block.Iter.seek_le index_it probe;
+        if Block.Iter.valid index_it then last_entry_of t index_it f else None
+      end
     end
-  end
-  else begin
-    (* probe is past every block: answer is the last entry of the table. *)
-    Block.Iter.seek_last index_it;
-    if Block.Iter.valid index_it then
-      last_entry_of (handle_of_index_value (Block.Iter.value index_it))
-    else None
-  end
+    else begin
+      (* probe is past every block: answer is the last entry of the table. *)
+      Block.Iter.seek_last index_it;
+      if Block.Iter.valid index_it then last_entry_of t index_it f else None
+    end
+  with Block.Corrupt m -> raise (Corrupt m)
+
+let find_last_le t probe = find_last_le_with t probe pair_of_entry
 
 let fold f t acc =
   let it = Iter.make t in
@@ -392,17 +441,7 @@ let verify_aux_blocks t =
 (* Data-block handles in index (= key) order, straight from the in-memory
    index. *)
 let data_block_handles t =
-  let it = Block.Iter.make t.index in
-  Block.Iter.seek_to_first it;
-  let rec go acc =
-    if Block.Iter.valid it then begin
-      let h = handle_of_index_value (Block.Iter.value it) in
-      Block.Iter.next it;
-      go (h :: acc)
-    end
-    else Array.of_list (List.rev acc)
-  in
-  go []
+  Array.of_list (List.rev (fold_index (fun _ h acc -> h :: acc) t []))
 
 type scrub_progress = { blocks_checked : int; next_block : int option }
 
@@ -423,7 +462,7 @@ let scrub ?(from_block = 0) ?max_blocks t =
        | Error m -> raise (Corrupt m));
     let i = ref from_block in
     while !i < n && !checked < budget do
-      ignore (Block.parse t.cmp (read_block_raw t.file handles.(!i)));
+      ignore (read_block t.file t.cmp handles.(!i));
       incr checked;
       incr i
     done;

@@ -3,6 +3,10 @@
     iterator. Open tables are immutable and safe to share across domains. *)
 
 exception Corrupt of string
+(** Raised for every checksum, format or decode failure of the file: at
+    open, and also by lookups and iteration that meet a malformed entry in
+    a block whose checksum held (never {!Block.Corrupt} or
+    [Clsm_util.Varint.Corrupt]). *)
 
 type t
 
@@ -45,6 +49,14 @@ val find_last_le : t -> string -> (string * string) option
 (** Last binding with key [<= probe] — the newest version not exceeding a
     snapshot timestamp when internal keys order timestamps ascending.
     Like {!find_first_ge}, not Bloom-gated. *)
+
+val find_last_le_with :
+  t -> string -> (string -> string -> pos:int -> len:int -> 'a) -> 'a option
+(** [find_last_le_with t probe f] is {!find_last_le} with the binding
+    handed to [f key data ~pos ~len], the value being the [len] bytes of
+    [data] at [pos]: a caller that decodes the value copies it once.
+    [find_last_le t probe = find_last_le_with t probe
+    (fun k d ~pos ~len -> (k, String.sub d pos len))]. *)
 
 module Iter : sig
   (** Two-level iterator with forward-scan readahead: after the first

@@ -29,3 +29,19 @@ let put_fixed32 b ~pos v =
 let put_fixed64 b ~pos v =
   put_fixed32 b ~pos (v land 0xffffffff);
   put_fixed32 b ~pos:(pos + 4) ((v lsr 32) land 0xffffffff)
+
+let rec compare_from a pa b pb i n =
+  if i = n then 0
+  else
+    let ca = String.unsafe_get a (pa + i) and cb = String.unsafe_get b (pb + i) in
+    if Char.equal ca cb then compare_from a pa b pb (i + 1) n
+    else if ca < cb then -1
+    else 1
+
+let compare_bytes a ~pos_a b ~pos_b ~len =
+  if
+    len < 0 || pos_a < 0 || pos_b < 0
+    || pos_a > String.length a - len
+    || pos_b > String.length b - len
+  then invalid_arg "Binary.compare_bytes";
+  compare_from a pos_a b pos_b 0 len

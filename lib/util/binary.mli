@@ -16,3 +16,9 @@ val get_fixed64 : string -> pos:int -> int
 
 val put_fixed32 : bytes -> pos:int -> int -> unit
 val put_fixed64 : bytes -> pos:int -> int -> unit
+
+val compare_bytes : string -> pos_a:int -> string -> pos_b:int -> len:int -> int
+(** [compare_bytes a ~pos_a b ~pos_b ~len] orders the [len] bytes at
+    [a.[pos_a]] and [b.[pos_b]] lexicographically as unsigned bytes:
+    [-1], [0] or [1]. Allocation-free. Raises [Invalid_argument] if either
+    range is out of bounds. *)

@@ -26,3 +26,11 @@ val put : bytes -> pos:int -> int -> int
 val read : string -> pos:int -> int * int
 (** [read s ~pos] decodes a value starting at [pos] and returns
     [(value, next_pos)]. Raises {!Corrupt} on malformed input. *)
+
+val read_at : string -> limit:int -> int ref -> int
+(** [read_at s ~limit cursor] decodes the value starting at [!cursor],
+    which must end before [limit], and advances [cursor] past it. Decoders
+    that walk a buffer keep one cursor and so allocate nothing per value.
+    Raises {!Corrupt} on malformed input, including a value running past
+    [limit]. Raises [Invalid_argument] if [!cursor < 0] or
+    [limit > String.length s]. *)

@@ -110,6 +110,22 @@ let block_single_entry_and_corrupt () =
   | exception Block.Corrupt _ -> ()
   | _ -> Alcotest.fail "bad restart count should be corrupt"
 
+(* A block whose one entry has a valid first varint ([shared] = 0) and an
+   over-long second one, behind a well-formed restart array. *)
+let malformed_varint_block () =
+  let data = "\x00" ^ String.make 10 '\xff' ^ "\x00\x00\x00\x00\x01\x00\x00\x00" in
+  let it = Block.Iter.make (Block.parse Comparator.bytewise data) in
+  let raises_block_corrupt what f =
+    match f () with
+    | exception Block.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+    | () -> Alcotest.failf "%s did not raise" what
+  in
+  raises_block_corrupt "seek_to_first" (fun () -> Block.Iter.seek_to_first it);
+  raises_block_corrupt "seek" (fun () -> Block.Iter.seek it "a");
+  raises_block_corrupt "seek_le" (fun () -> Block.Iter.seek_le it "a");
+  raises_block_corrupt "seek_last" (fun () -> Block.Iter.seek_last it)
+
 let prop_block_matches_list =
   QCheck.Test.make ~name:"block roundtrip (random sorted keys)" ~count:100
     QCheck.(list (pair (string_of_size Gen.(1 -- 12)) (string_of_size Gen.(0 -- 20))))
@@ -178,6 +194,86 @@ let prop_block_seek_le_matches_model =
           None keys
       in
       got = expected)
+
+(* The same block properties under the internal-key comparator, which
+   the store uses: several versions per user key, user keys sharing
+   prefixes that straddle an iterator's initial key buffer, restart points
+   every 3 entries, and the comparator's in-place [compare_sub] doing the
+   seeking. *)
+module Internal_key = Clsm_lsm.Internal_key
+
+let gen_internal_key =
+  QCheck.Gen.(
+    map3
+      (fun prefix suffix ts -> Internal_key.make (prefix ^ suffix) ts)
+      (oneofl [ ""; String.make 40 'p'; String.make 70 'p' ])
+      (string_size ~gen:(oneofl [ 'a'; 'b'; '\x00'; '\xff' ]) (0 -- 3))
+      (oneof [ 1 -- 4; return Internal_key.max_ts ]))
+
+let internal_keys_and_target =
+  QCheck.make
+    ~print:QCheck.Print.(pair (list string) string)
+    QCheck.Gen.(pair (list_size (1 -- 40) gen_internal_key) gen_internal_key)
+
+let sorted_internal keys = List.sort_uniq Internal_key.compare_encoded keys
+
+let internal_block keys =
+  let b = Block_builder.create ~restart_interval:3 () in
+  List.iter (fun k -> Block_builder.add b ~key:k ~value:k) keys;
+  Block.parse Internal_key.comparator (Block_builder.finish b)
+
+let last_le cmp keys target =
+  List.fold_left (fun acc k -> if cmp k target <= 0 then Some k else acc) None keys
+
+let iter_entry it =
+  if Block.Iter.valid it then Some (Block.Iter.key it, Block.Iter.value it)
+  else None
+
+let prop_block_seek_internal =
+  QCheck.Test.make ~name:"block seek = first >= target (internal keys)"
+    ~count:300 internal_keys_and_target (fun (keys, target) ->
+      let keys = sorted_internal keys in
+      let it = Block.Iter.make (internal_block keys) in
+      Block.Iter.seek it target;
+      let expected =
+        List.find_opt (fun k -> Internal_key.compare_encoded k target >= 0) keys
+      in
+      iter_entry it = Option.map (fun k -> (k, k)) expected)
+
+let prop_block_seek_le_internal =
+  QCheck.Test.make ~name:"block seek_le = last <= target (internal keys)"
+    ~count:300 internal_keys_and_target (fun (keys, target) ->
+      let keys = sorted_internal keys in
+      let it = Block.Iter.make (internal_block keys) in
+      Block.Iter.seek_le it target;
+      let expected = last_le Internal_key.compare_encoded keys target in
+      let got = iter_entry it in
+      Block.Iter.seek_last it;
+      let last = List.fold_left (fun _ k -> Some (k, k)) None keys in
+      got = Option.map (fun k -> (k, k)) expected && iter_entry it = last)
+
+let compare_sub_matches cmp gen =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "compare_sub = compare of String.sub (%s)" cmp.Comparator.name)
+    ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(quad string int int string)
+       QCheck.Gen.(
+         gen >>= fun a ->
+         gen >>= fun b ->
+         string_size ~gen:char (0 -- 3) >>= fun pre ->
+         string_size ~gen:char (0 -- 3) >>= fun post ->
+         return (pre ^ a ^ post, String.length pre, String.length a, b)))
+    (fun (framed, pos, len, b) ->
+      cmp.Comparator.compare_sub framed ~pos ~len b
+      = cmp.Comparator.compare (String.sub framed pos len) b)
+
+let prop_compare_sub_bytewise =
+  compare_sub_matches Comparator.bytewise
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '\xff' ]) (0 -- 6))
+
+let prop_compare_sub_internal =
+  compare_sub_matches Internal_key.comparator gen_internal_key
 
 (* ---------- Cache ---------- *)
 
@@ -258,12 +354,10 @@ let mmap_roundtrip () =
 
 (* ---------- Table ---------- *)
 
-let build_table ?(block_size = 256) ?filter_key_of name pairs =
+let build_table ?(block_size = 256) ?filter_key_of ?(cmp = Comparator.bytewise)
+    name pairs =
   let path = tmp_path name in
-  let b =
-    Table_builder.create ~block_size ?filter_key_of ~cmp:Comparator.bytewise
-      ~path ()
-  in
+  let b = Table_builder.create ~block_size ?filter_key_of ~cmp ~path () in
   List.iter (fun (k, v) -> Table_builder.add b ~key:k ~value:v) pairs;
   let props = Table_builder.finish b in
   (path, props)
@@ -416,6 +510,20 @@ let prop_table_find_last_le =
       in
       got = expected)
 
+let prop_table_find_last_le_internal =
+  QCheck.Test.make ~name:"table find_last_le = last <= probe (internal keys)"
+    ~count:30 internal_keys_and_target (fun (keys, probe) ->
+      let keys = sorted_internal keys in
+      let path, _ =
+        build_table ~block_size:96 ~cmp:Internal_key.comparator "t_prop_le_ik"
+          (List.map (fun k -> (k, k)) keys)
+      in
+      let t = Table.open_file ~cmp:Internal_key.comparator path in
+      let got = Table.find_last_le t probe in
+      Table.close t;
+      got
+      = Option.map (fun k -> (k, k)) (last_le Internal_key.compare_encoded keys probe))
+
 let prop_table_roundtrip =
   QCheck.Test.make ~name:"table roundtrip (random sorted keys)" ~count:25
     QCheck.(list (pair (string_of_size Gen.(1 -- 16)) (string_of_size Gen.(0 -- 32))))
@@ -448,6 +556,8 @@ let suites =
         Alcotest.test_case "single entry / corrupt" `Quick
           block_single_entry_and_corrupt;
         Alcotest.test_case "seek_le / seek_last" `Quick block_seek_le;
+        Alcotest.test_case "malformed varint is Block.Corrupt" `Quick
+          malformed_varint_block;
       ] );
     ( "sstable.block.props",
       List.map QCheck_alcotest.to_alcotest
@@ -455,6 +565,10 @@ let suites =
           prop_block_matches_list;
           prop_block_seek_matches_model;
           prop_block_seek_le_matches_model;
+          prop_block_seek_internal;
+          prop_block_seek_le_internal;
+          prop_compare_sub_bytewise;
+          prop_compare_sub_internal;
         ] );
     ( "sstable.cache",
       [
@@ -479,5 +593,9 @@ let suites =
       ] );
     ( "sstable.table.props",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_table_roundtrip; prop_table_find_last_le ] );
+        [
+          prop_table_roundtrip;
+          prop_table_find_last_le;
+          prop_table_find_last_le_internal;
+        ] );
   ]

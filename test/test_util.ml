@@ -119,6 +119,30 @@ let crc_detects_flip () =
   Alcotest.(check bool) "differs" true
     (before <> Crc32c.string (Bytes.to_string s))
 
+(* Bit-at-a-time CRC-32C straight from the polynomial: the reference the
+   table-driven implementation must agree with, at every offset and
+   length (the eight-byte steps and the byte tail both get exercised). *)
+let crc_reference ~init s ~pos ~len =
+  let crc = ref (init lxor 0xffffffff) in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      crc := if !crc land 1 = 1 then 0x82F63B78 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xffffffff
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"crc32c = bitwise reference" ~count:500
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 64)) small_nat small_nat
+        (int_bound 0xffffffff))
+    (fun (s, a, b, init) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Crc32c.sub ~init s ~pos ~len = crc_reference ~init s ~pos ~len)
+
 (* ---------- Hashing ---------- *)
 
 let hash_deterministic () =
@@ -175,6 +199,7 @@ let suites =
         Alcotest.test_case "incremental" `Quick crc_incremental;
         Alcotest.test_case "mask roundtrip" `Quick crc_mask_roundtrip;
         Alcotest.test_case "detects bit flip" `Quick crc_detects_flip;
+        QCheck_alcotest.to_alcotest prop_crc_matches_reference;
       ] );
     ( "util.hashing",
       [

@@ -93,6 +93,61 @@ let get_key_straddles_files () =
   Version.release v;
   List.iter Refcounted.retire [ fa; fb ]
 
+(* A table whose first data block keeps a valid CRC but holds a malformed
+   entry: the first key's length varint is over-long. Lookups and scans
+   must report it as the file's corruption, never as a raw decode error. *)
+let malformed_entry_contained () =
+  let file = make_file (List.init 10 (fun i -> (Printf.sprintf "key%02d" i, 1, Some "v"))) in
+  let tf = Refcounted.value file in
+  let path = Clsm_sstable.Table.path tf.Table_file.table in
+  let block_size =
+    match Clsm_sstable.Table.index_anchors tf.Table_file.table with
+    | (_, size) :: _ -> size
+    | [] -> Alcotest.fail "no data block"
+  in
+  let image =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Bytes.of_string s
+  in
+  (* Entry 0 at offset 0: shared = 0, then the non-shared length. *)
+  Bytes.fill image 1 10 '\xff';
+  let crc =
+    Clsm_util.Crc32c.sub (Bytes.unsafe_to_string image) ~pos:0 ~len:(block_size + 1)
+  in
+  Clsm_util.Binary.put_fixed32 image ~pos:(block_size + 1) (Clsm_util.Crc32c.mask crc);
+  let oc = open_out_bin path in
+  output_bytes oc image;
+  close_out oc;
+  (* Reopen over the patched bytes, with the same number and key range. *)
+  let number = tf.Table_file.number in
+  Refcounted.retire file;
+  let file =
+    Refcounted.create ~release:Table_file.release
+      (Table_file.open_number ~dir:tmp_dir number)
+  in
+  let levels = Array.make 2 [] in
+  levels.(0) <- [ file ];
+  let v = Version.create ~l0:[] ~levels in
+  let reported = ref [] in
+  let on_corrupt tf _detail = reported := tf.Table_file.number :: !reported in
+  Alcotest.check entry_testable "contained as a miss" None
+    (Version.get ~on_corrupt v ~user_key:"key03" ~snap_ts:Internal_key.max_ts);
+  Alcotest.(check (list int)) "file reported" [ number ] !reported;
+  (match Version.get v ~user_key:"key03" ~snap_ts:Internal_key.max_ts with
+  | exception Table_file.Corruption { number = n; _ } ->
+      Alcotest.(check int) "typed corruption names the file" number n
+  | _ -> Alcotest.fail "get without on_corrupt must raise Table_file.Corruption");
+  (match Iter.to_list (Iter.concat (Version.iters v)) with
+  | exception Table_file.Corruption _ -> ()
+  | _ -> Alcotest.fail "scan must raise Table_file.Corruption");
+  (match Clsm_sstable.Table.verify (Refcounted.value file).Table_file.table with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "verify must report the malformed entry");
+  Version.release v;
+  Refcounted.retire file
+
 let get_tombstone_shadows () =
   let f = make_file [ ("k", 5, Some "v"); ("k", 8, None) ] in
   let v = Version.create ~l0:[ f ] ~levels:(Array.make 2 []) in
@@ -533,6 +588,8 @@ let suites =
         Alcotest.test_case "level search order" `Quick get_level_order;
         Alcotest.test_case "key straddles files" `Quick get_key_straddles_files;
         Alcotest.test_case "tombstone shadows" `Quick get_tombstone_shadows;
+        Alcotest.test_case "malformed entry under a valid CRC is contained"
+          `Quick malformed_entry_contained;
         Alcotest.test_case "iters cover everything" `Quick iters_cover_everything;
         Alcotest.test_case "refcount lifecycle" `Quick refcount_lifecycle;
         Alcotest.test_case "validate flags shadowed versions" `Quick
