@@ -23,49 +23,33 @@
                    × point-get/scan) over a cache-resident working set;
                    same JSON schema (default BENCH_read.json) *)
 
+(* The [smoke] [--out FILE] tail shared by the JSON-emitting benches. *)
+let scale_and_out ~default rest =
+  let scale =
+    if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
+  in
+  let rec out_of = function
+    | "--out" :: path :: _ -> path
+    | _ :: tl -> out_of tl
+    | [] -> default
+  in
+  (scale, out_of rest)
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
   | "--compaction" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_compaction.json"
-      in
-      Bench_store.run ~scale ~out:(out_of rest)
+      let scale, out = scale_and_out ~default:"BENCH_compaction.json" rest in
+      Bench_store.run ~scale ~out
   | "--durability" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_durability.json"
-      in
-      Bench_store.run_durability ~scale ~out:(out_of rest)
+      let scale, out = scale_and_out ~default:"BENCH_durability.json" rest in
+      Bench_store.run_durability ~scale ~out
   | "--read" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_read.json"
-      in
-      Bench_store.run_read ~scale ~out:(out_of rest)
+      let scale, out = scale_and_out ~default:"BENCH_read.json" rest in
+      Bench_store.run_read ~scale ~out
   | "--sharded" :: rest ->
-      let scale =
-        if List.mem "smoke" rest then Bench_store.Smoke else Bench_store.Full
-      in
-      let rec out_of = function
-        | "--out" :: path :: _ -> path
-        | _ :: tl -> out_of tl
-        | [] -> "BENCH_sharded.json"
-      in
-      Bench_sharded.run ~scale ~out:(out_of rest)
+      let scale, out = scale_and_out ~default:"BENCH_sharded.json" rest in
+      Bench_sharded.run ~scale ~out
   | [] | [ "--figures" ] ->
       print_endline
         "cLSM benchmark harness: regenerating all paper figures (simulated \

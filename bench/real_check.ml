@@ -6,18 +6,18 @@
 
 open Clsm_workload
 
+let rec rm path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
 let tmp_dir name =
   let d =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "clsm_real_%s_%d" name (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
   in
   rm d;
   d
@@ -40,7 +40,8 @@ let scenario ~name ~spec ~preload_count ~ops_per_thread ~threads_list =
   Printf.printf "\n-- real:%s --\n%!" name;
   List.iter
     (fun (sname, open_store) ->
-      let store = open_store (tmp_dir (name ^ "_" ^ sname)) in
+      let dir = tmp_dir (name ^ "_" ^ sname) in
+      let store = open_store dir in
       if preload_count > 0 then
         Driver.preload store spec ~count:preload_count;
       List.iter
@@ -52,7 +53,8 @@ let scenario ~name ~spec ~preload_count ~ops_per_thread ~threads_list =
       (match store.Store_ops.stats_json () with
       | Some json -> Printf.printf "%-14s stats %s\n%!" sname json
       | None -> ());
-      store.Store_ops.close ())
+      store.Store_ops.close ();
+      rm dir)
     stores
 
 let run ~quick =

@@ -1,15 +1,20 @@
-(** LevelDB-style baseline: the same LSM substrate as cLSM (memtable,
-    SSTables, leveled compaction, WAL) under LevelDB's concurrency control —
-    "coarse-grained synchronization that forces all puts to be executed
-    sequentially" (paper §6). A single global mutex serializes every write
-    and every component-pointer access; reads take it briefly to pin the
-    components (as LevelDB's [GetApproximate...] path does) and release it
-    before searching.
+(** LevelDB-style baseline: the cLSM store {!Clsm_core.Db} under LevelDB's
+    concurrency control — "coarse-grained synchronization that forces all
+    puts to be executed sequentially" (paper §6).
 
-    Semantically equivalent to {!Clsm_core.Db} (multi-versioned reads,
-    snapshots, recovery); only the synchronization differs. This is the
-    competitor for the write/read scalability comparisons (Figures 5–8)
-    and, via {!Striped_rmw}, the lock-striping RMW baseline of Figure 9. *)
+    A thin wrapper: one global mutex around a {!Clsm_core.Db}. Writes
+    ({!put}, {!delete}, {!put_if_absent}) and {!get_snap} run the store's
+    operation inside the mutex, so they execute one at a time. Reads
+    ({!get}, {!get_at}, {!range}) take it briefly, as LevelDB's component
+    pin does, and search without it. Everything else — recovery, the WAL
+    modes, quarantine, flush and compaction — is the one {!Clsm_core.Db}
+    implementation; maintenance runs on the process-wide pool of
+    [Options.scheduler], so a baseline store starts no domain of its own.
+
+    Semantically equivalent to {!Clsm_core.Db}; only the synchronization
+    differs. This is the competitor for the write/read scalability
+    comparisons (Figures 5–8) and, via {!Striped_rmw}, the lock-striping
+    RMW baseline of Figure 9. *)
 
 type t
 
@@ -19,6 +24,11 @@ val close : t -> unit
 val put : t -> key:string -> value:string -> unit
 val delete : t -> key:string -> unit
 val get : t -> string -> string option
+
+val put_if_absent : t -> key:string -> value:string -> bool
+(** Install [value] unless [key] is present; [true] if this call did.
+    The lookup and the put both run inside the global mutex, so no other
+    write lands between them. *)
 
 type snapshot
 

@@ -393,40 +393,20 @@ module Make (S : Store_sig.EXTENDED) = struct
       if it.own_snapshot then release_snapshot it.router it.snap
     end
 
-  let range ?snapshot ?start ?stop ?(limit = max_int) t =
-    let it = iterator ?snapshot t in
-    (match start with
-    | Some s -> iter_seek it s
-    | None -> iter_seek_first it);
-    let rec collect n acc =
-      if n >= limit || not (iter_valid it) then List.rev acc
-      else
-        let k = iter_key it in
-        match stop with
-        | Some e when k >= e -> List.rev acc
-        | Some _ | None ->
-            let v = iter_value it in
-            iter_next it;
-            collect (n + 1) ((k, v) :: acc)
-    in
-    let result = collect 0 [] in
-    iter_close it;
-    result
+  include Scan.Make (struct
+    type store = t
+    type nonrec snapshot = snapshot
+    type nonrec iterator = iterator
 
-  let fold ?snapshot f t acc =
-    let it = iterator ?snapshot t in
-    iter_seek_first it;
-    let rec go acc =
-      if iter_valid it then begin
-        let k = iter_key it and v = iter_value it in
-        iter_next it;
-        go (f k v acc)
-      end
-      else acc
-    in
-    let result = go acc in
-    iter_close it;
-    result
+    let iterator = iterator
+    let iter_seek_first = iter_seek_first
+    let iter_seek = iter_seek
+    let iter_valid = iter_valid
+    let iter_key = iter_key
+    let iter_value = iter_value
+    let iter_next = iter_next
+    let iter_close = iter_close
+  end)
 
   (* ---------- maintenance / introspection ---------- *)
 

@@ -144,6 +144,26 @@ let of_memtable () =
     compact = None;
   }
 
+let of_single_writer st =
+  let module S = Clsm_baselines.Single_writer_store in
+  {
+    name = "single-writer";
+    get = (fun key -> S.get st key);
+    put = (fun ~key ~value -> S.put st ~key ~value);
+    delete = (fun ~key -> S.delete st ~key);
+    rmw = None;
+    put_if_absent = Some (fun ~key ~value -> S.put_if_absent st ~key ~value);
+    scan =
+      Some
+        (fun () ->
+          let snap = S.get_snap st in
+          let bindings = S.range ~snapshot:snap st in
+          let ts = S.snapshot_ts snap in
+          S.release_snapshot st snap;
+          (Some ts, bindings));
+    compact = Some (fun () -> S.compact_now st);
+  }
+
 let of_striped st =
   let module R = Clsm_baselines.Striped_rmw in
   let module S = Clsm_baselines.Single_writer_store in

@@ -36,6 +36,10 @@ val of_memtable : unit -> ops
     no store around it. No scans (memtable iteration is only weakly
     consistent, by design). *)
 
+val of_single_writer : Clsm_baselines.Single_writer_store.t -> ops
+(** The LevelDB-style baseline alone: its global-mutex writes, its
+    [put_if_absent] and snapshot scans. No RMW. *)
+
 val of_striped : Clsm_baselines.Striped_rmw.t -> ops
 (** The Figure 9 lock-striping baseline — a known-good reference. *)
 

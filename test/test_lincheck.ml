@@ -10,7 +10,8 @@
      serializable snapshots and under `linearizable_snapshots`;
    - its algorithmic twin `Cow_store`;
    - the bare lock-free memtable (Algorithm 3 RMW with no store around);
-   - the lock-striping baseline (`Striped_rmw`, known good);
+   - the LevelDB-style baseline (`Single_writer_store`) alone, and the
+     lock-striping RMW baseline over it (`Striped_rmw`, known good);
    - the deliberately-broken store, which the checker MUST flag — the
      negative control proving the harness can fail.
 
@@ -266,6 +267,21 @@ let run_cow seed () =
   in
   assert_clean ~target:"cow" ~seed ~scan_mode:`Serializable h
 
+let run_single_writer seed () =
+  let dir =
+    Filename.concat base_dir (Printf.sprintf "single_writer_seed%d" seed)
+  in
+  rm_rf dir;
+  let st = Clsm_baselines.Single_writer_store.open_store (opts dir) in
+  let h =
+    Fun.protect
+      ~finally:(fun () ->
+        Clsm_baselines.Single_writer_store.close st;
+        rm_rf dir)
+      (fun () -> Stress.run (cfg seed) (Target.of_single_writer st))
+  in
+  assert_clean ~target:"single-writer" ~seed ~scan_mode:`Serializable h
+
 let run_striped seed () =
   let dir = Filename.concat base_dir (Printf.sprintf "striped_seed%d" seed) in
   rm_rf dir;
@@ -353,6 +369,7 @@ let () =
         (take small (List.rev seeds));
       cases "memtable" run_memtable (take small seeds);
       cases "cow-store" run_cow (take small seeds);
+      cases "single-writer" run_single_writer (take half seeds);
       cases "striped-rmw" run_striped (take small seeds);
       ( "self-test",
         [ Alcotest.test_case "broken store is flagged" `Slow broken_flagged ]

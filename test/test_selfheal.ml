@@ -372,6 +372,51 @@ let persistent_rot_round_trip () =
     (Db.verify_integrity db);
   Db.close db
 
+(* A scan that hits a rotten table raises — and must still release what
+   it pinned. Were the failed scans' read views still held, the tables
+   the later compactions make obsolete would stay on disk. *)
+let failed_scan_releases_its_pins () =
+  let dir = fresh_dir () in
+  let opts =
+    {
+      (small_opts dir) with
+      (* only compact_now flushes and compacts, so the layout is
+         deterministic *)
+      Options.memtable_bytes = 1 lsl 20;
+      scheduler = Scheduler.create ~num_workers:0 ();
+    }
+  in
+  let db = Db.open_store opts in
+  fill db;
+  Db.close db;
+  let sst = List.hd (List.sort compare (sst_files dir)) in
+  let fd =
+    Unix.openfile
+      (Filename.concat dir (Printf.sprintf "%06d.sst" sst))
+      [ Unix.O_RDWR ] 0
+  in
+  ignore (Unix.lseek fd 64 Unix.SEEK_SET);
+  ignore (Unix.write fd (Bytes.of_string "\xde\xad\xbe\xef") 0 4);
+  Unix.close fd;
+  let db = Db.open_store opts in
+  (match Db.range ~limit:10_000 db with
+  | _ -> Alcotest.fail "range over a rotten table must raise"
+  | exception Table_file.Corruption _ -> ());
+  (match Db.fold (fun _ _ n -> n + 1) db 0 with
+  | _ -> Alcotest.fail "fold over a rotten table must raise"
+  | exception Table_file.Corruption _ -> ());
+  ignore (Db.repair_now db);
+  (* Rewrite every key until L0 reaches its trigger: the compaction
+     obsoletes every table the failed scans saw. *)
+  for _ = 1 to opts.Options.lsm.Lsm_config.l0_compaction_trigger do
+    fill db
+  done;
+  Alcotest.(check int) "no obsolete table left on disk"
+    (List.fold_left ( + ) 0 (Db.level_file_counts db))
+    (List.length (sst_files dir));
+  check_all db;
+  Db.close db
+
 (* ---------- transient fsync faults ride through retry ---------- *)
 
 let transient_fsync_completes_via_retry () =
@@ -440,6 +485,8 @@ let suites =
           (transient_rot_round_trip Table_under_l0);
         Alcotest.test_case "persistent rot round trip" `Quick
           persistent_rot_round_trip;
+        Alcotest.test_case "failed scan releases its pins" `Quick
+          failed_scan_releases_its_pins;
       ] );
     ( "selfheal.retry-io",
       [

@@ -55,6 +55,8 @@ type summary = {
 type genv = {
   spec : Lockspec.t;
   summaries : (string, summary) Hashtbl.t;
+  mutable includes : (string * string) list;
+      (* db.ml = [include Store.Make (M)]  =>  Db -> Store, for every caller *)
   mutable diags : Diag.t list;
 }
 
@@ -345,7 +347,11 @@ let rec extract_str genv fenv str =
       | Pstr_include inc -> (
           match module_structure inc.pincl_mod with
           | Some s -> extract_str genv fenv s
-          | None -> ())
+          | None -> (
+              match alias_target inc.pincl_mod with
+              | Some tgt when tgt <> fenv.f_module ->
+                  genv.includes <- (fenv.f_module, tgt) :: genv.includes
+              | _ -> ()))
       | _ -> ())
     str
 
@@ -353,7 +359,13 @@ let rec extract_str genv fenv str =
 
 let resolve_call genv fenv (hint, name) =
   match hint with
-  | Some h -> Hashtbl.find_opt genv.summaries (canon fenv h ^ "." ^ name)
+  | Some h -> (
+      let m = canon fenv h in
+      match Hashtbl.find_opt genv.summaries (m ^ "." ^ name) with
+      | Some s -> Some s
+      | None ->
+          Option.bind (List.assoc_opt m genv.includes) (fun tgt ->
+              Hashtbl.find_opt genv.summaries (tgt ^ "." ^ name)))
   | None -> (
       match Hashtbl.find_opt genv.summaries (fenv.f_module ^ "." ^ name) with
       | Some s -> Some s
@@ -847,7 +859,9 @@ let module_of_file file =
   String.capitalize_ascii Filename.(remove_extension (basename file))
 
 let run spec units =
-  let genv = { spec; summaries = Hashtbl.create 256; diags = [] } in
+  let genv =
+    { spec; summaries = Hashtbl.create 256; includes = []; diags = [] }
+  in
   let units =
     List.map
       (fun (file, str) ->
